@@ -44,16 +44,15 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _tree_lines(t: PartialTree, indent: int, lines: list[str]) -> None:
-    label = "⊥" if t.label is None else t.label.name
-    lines.append("  " * indent + label)
-    for child in t.children:
-        _tree_lines(child, indent + 1, lines)
-
-
 def tree_text(t: PartialTree) -> str:
+    """One label per line, indented by depth; an explicit stack, since a
+    prefix may be deeper than the recursion limit."""
     lines: list[str] = []
-    _tree_lines(t, 0, lines)
+    stack = [(t, 0)]
+    while stack:
+        node, indent = stack.pop()
+        lines.append("  " * indent + ("⊥" if node.label is None else node.label.name))
+        stack.extend((child, indent + 1) for child in reversed(node.children))
     return "\n".join(lines) + "\n"
 
 
@@ -90,6 +89,16 @@ def atom_json(a: Atom):
 
 def _position_text(position: tuple[int, ...]) -> str:
     return ".".join(map(str, position)) if position else "ε"
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _budget(args: argparse.Namespace) -> EvalBudget:
@@ -212,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, depth: bool = False) -> None:
         p.add_argument("input", help="scheme file")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--steps", type=int, default=10_000)
-        p.add_argument("--max-term", type=int, default=100_000, dest="max_term")
+        p.add_argument("--steps", type=_positive_int, default=10_000)
+        p.add_argument("--max-term", type=_positive_int, default=100_000, dest="max_term")
         if depth:
-            p.add_argument("--depth", type=int, default=5)
+            p.add_argument("--depth", type=_positive_int, default=5)
 
     p = sub.add_parser("check", help="validate a scheme file")
     p.add_argument("input")

@@ -195,7 +195,21 @@ class Term:
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "type", remaining)
         object.__setattr__(self, "size", 1 + sum(a.size for a in args))
-        object.__setattr__(self, "_hash", hash((head, args)))
+        # Equal terms have equal heads, so the head's name suffices; it is
+        # much cheaper to hash than the symbol with its type.
+        object.__setattr__(self, "_hash", hash((head.name, args)))
+
+    @classmethod
+    def _with_args(cls, like: "Term", args: tuple["Term", ...], size: int) -> "Term":
+        """`like`'s head applied to `args`, which must have the types of
+        `like.args`: the constructor's checks are skipped."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "head", like.head)
+        object.__setattr__(t, "args", args)
+        object.__setattr__(t, "type", like.type)
+        object.__setattr__(t, "size", size)
+        object.__setattr__(t, "_hash", hash((like.head.name, args)))
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("Term is immutable")
@@ -279,10 +293,12 @@ def replace_at(t: Term, position: Position, s: Term) -> Term:
             f"{type_to_str(spine[-1].type)}",
             position=tuple(position),
         )
+    # Every rebuilt node keeps its argument types, so no re-check is needed.
     result = s
     for node, i in zip(reversed(spine[:-1]), reversed(position)):
         args = node.args[: i - 1] + (result,) + node.args[i:]
-        result = Term(node.head, args)
+        size = node.size - node.args[i - 1].size + result.size
+        result = Term._with_args(node, args, size)
     return result
 
 

@@ -1,14 +1,18 @@
 """Rewriting, derivation strategies and truncated value trees.
 
 `redexes`/`step`/`derive` work on immutable terms and produce inspectable
-traces.  `value_tree` runs the fair schedulers on a private mutable
-representation: each node tracks how many redexes its subtree contains, so
-sweeps skip settled regions and innermost detection is O(1).  Subtrees that
-can never reach the requested output depth are left unexpanded.
+traces; `derive` keeps the current term's redexes in document order and
+reclassifies only the rewritten subterm after each step.  `value_tree` runs
+the fair schedulers on a private mutable representation: each node knows
+whether its subtree holds a redex, so sweeps skip settled regions, a redex
+is innermost when none of its children holds one, and a rewrite updates the
+flags above it only as far as they flip.  Subtrees that can never reach the
+requested output depth are left unexpanded.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,7 +27,6 @@ from .core import (
     Position,
     Symbol,
     Term,
-    arity,
     instantiate,
     subterm_at,
     replace_at,
@@ -106,15 +109,46 @@ class ValueTreeResult:
 
 
 def _is_redex_head(g: Scheme, head: Symbol, nargs: int) -> bool:
-    return (
-        head.kind == NONTERMINAL
-        and head.name in g.rules
-        and nargs == arity(head.type)
-    )
+    """Whether `head` applied to `nargs` arguments can be rewritten: a
+    non-terminal with a rule, applied to one argument per parameter (so
+    fully applied and ground).  The one redex predicate of `redexes`,
+    `step`, `derive` and the fast evaluator."""
+    if head.kind != NONTERMINAL:
+        return False
+    rule = g.rules.get(head.name)
+    return rule is not None and nargs == len(rule.params)
 
 
-def redexes(g: Scheme, t: Term) -> list[RedexInfo]:
-    """All redexes of a ground term in document order, with OI/IO flags."""
+class _Redex:
+    """A node of the tree of a term's redexes, whose parent is the nearest
+    redex above it, or the root for outermost ones.  `rel` is the position
+    relative to the parent's; `kids` are the redexes directly below, in
+    document order.  So a redex is OI when its parent is the root and IO
+    when it has no kids, and moving a subterm re-bases its top redexes only.
+    """
+
+    __slots__ = ("rel", "head", "kids")
+
+    def __init__(self, rel: Position, head: Symbol | None):
+        self.rel = rel
+        self.head = head
+        self.kids: list[_Redex] = []
+
+    def copy(self) -> "_Redex":
+        top = _Redex(self.rel, self.head)
+        stack = [(self, top)]
+        while stack:
+            src, dst = stack.pop()
+            for k in src.kids:
+                c = _Redex(k.rel, k.head)
+                dst.kids.append(c)
+                stack.append((k, c))
+        return top
+
+
+def _redex_tree(g: Scheme, t: Term) -> _Redex:
+    """The root of t's redex tree.  Subtrees without a redex are not
+    entered, so positions are built only on the paths to redexes."""
     contains: dict[int, bool] = {}
     post: list[tuple[Term, bool]] = [(t, False)]
     while post:
@@ -127,36 +161,115 @@ def redexes(g: Scheme, t: Term) -> list[RedexInfo]:
         for a in node.args:
             post.append((a, False))
 
-    out: list[RedexInfo] = []
-    pre: list[tuple[Term, Position, bool]] = [(t, (), False)]
+    root = _Redex((), None)
+    pre: list[tuple[Term, _Redex, Position]] = [(t, root, ())] if contains[id(t)] else []
     while pre:
-        node, pos, above = pre.pop()
-        own = _is_redex_head(g, node.head, len(node.args)) and node.type == GROUND
-        if own:
-            out.append(
-                RedexInfo(
-                    position=pos,
-                    nonterminal=node.head,
-                    is_oi=not above,
-                    is_io=not any(contains[id(a)] for a in node.args),
-                )
-            )
+        node, above, rel = pre.pop()
+        if _is_redex_head(g, node.head, len(node.args)):
+            r = _Redex(rel, node.head)
+            above.kids.append(r)
+            above, rel = r, ()
         for i in range(len(node.args), 0, -1):
-            pre.append((node.args[i - 1], pos + (i,), above or own))
+            if contains[id(node.args[i - 1])]:
+                pre.append((node.args[i - 1], above, rel + (i,)))
+    return root
+
+
+# A redex found in the tree: (its parent, itself, its position and flags).
+_Found = tuple[_Redex, _Redex, RedexInfo]
+
+
+def _eligible(root: _Redex, policy: str) -> list[_Found]:
+    """The redexes the policy allows, in document order.  Positions are put
+    together only for these: the walk carries the path as a linked list."""
+    if policy == OI:
+        return [(root, r, RedexInfo(r.rel, r.head, True, not r.kids)) for r in root.kids]
+    out: list[_Found] = []
+    stack: list[tuple[_Redex, _Redex, tuple]] = [
+        (root, r, (r.rel, None)) for r in reversed(root.kids)
+    ]
+    while stack:
+        parent, r, path = stack.pop()
+        if policy == UNRESTRICTED or not r.kids:
+            parts, link = [], path
+            while link is not None:
+                parts.append(link[0])
+                link = link[1]
+            pos = tuple(i for rel in reversed(parts) for i in rel)
+            out.append((parent, r, RedexInfo(pos, r.head, parent is root, not r.kids)))
+        for k in reversed(r.kids):
+            stack.append((r, k, (k.rel, path)))
     return out
+
+
+def redexes(g: Scheme, t: Term) -> list[RedexInfo]:
+    """All redexes of a ground term in document order, with OI/IO flags."""
+    return [info for _, _, info in _eligible(_redex_tree(g, t), UNRESTRICTED)]
 
 
 def step(g: Scheme, t: Term, position: Position) -> Term:
     """One rewrite at `position`, which must address a redex."""
     sub = subterm_at(t, position)
-    if not _is_redex_head(g, sub.head, len(sub.args)) or sub.type != GROUND:
+    if not _is_redex_head(g, sub.head, len(sub.args)):
         raise NotARedex(
             f"{term_to_str(sub)} at {'.'.join(map(str, position)) or 'root'} "
             f"is not a redex"
         )
+    return replace_at(t, position, _contractum(g, sub))
+
+
+def _contractum(g: Scheme, redex: Term) -> Term:
+    rule = g.rules[redex.head.name]
+    return instantiate(rule.body, {p.name: a for p, a in zip(rule.params, redex.args)})
+
+
+def _rewrite(g: Scheme, t: Term, found: _Found) -> Term:
+    """Rewrite t at the redex `found` and update the redex tree in place.
+
+    Only the rule body is walked.  The redexes inside each argument move,
+    as whole subtrees, to wherever the body places that argument (copied
+    when it is placed more than once); nothing else in the tree changes.
+    """
+    parent, r, info = found
+    sub = subterm_at(t, info.position)
     rule = g.rules[sub.head.name]
-    mapping = {p.name: a for p, a in zip(rule.params, sub.args)}
-    return replace_at(t, position, instantiate(rule.body, mapping))
+    index = {p.name: k for k, p in enumerate(rule.params)}
+    moved: list[list[tuple[_Redex, Position]]] = [[] for _ in rule.params]
+    for k in r.kids:
+        moved[k.rel[0] - 1].append((k, k.rel[1:]))
+    placed = [False] * len(rule.params)
+
+    def place(k: int, into: list[_Redex], at: Position) -> None:
+        for kid, rest in moved[k]:
+            kid = kid.copy() if placed[k] else kid
+            kid.rel = at + rest
+            into.append(kid)
+        placed[k] = True
+
+    def walk(bt: Term, into: list[_Redex], at: Position) -> None:
+        """Add the redexes of bt's instance, at `at` below `into`'s owner."""
+        head, skip, k = bt.head, 0, None
+        if head.kind == VARIABLE and head.name in index:
+            k = index[head.name]
+            if not bt.args:  # the argument itself, a redex or not
+                place(k, into, at)
+                return
+            # a partial application, completed by the body's arguments
+            head, skip = sub.args[k].head, len(sub.args[k].args)
+        if _is_redex_head(g, head, skip + len(bt.args)):
+            new = _Redex(at, head)
+            into.append(new)
+            into, at = new.kids, ()
+        if k is not None:
+            place(k, into, at)
+        for j, a in enumerate(bt.args, skip + 1):
+            walk(a, into, at + (j,))
+
+    top: list[_Redex] = []
+    walk(rule.body, top, r.rel)
+    i = bisect_left(parent.kids, r.rel, key=lambda k: k.rel)
+    parent.kids[i : i + 1] = top
+    return replace_at(t, info.position, _contractum(g, sub))
 
 
 Chooser = Callable[[Term, list[RedexInfo]], Optional[RedexInfo]]
@@ -176,6 +289,10 @@ def derive(
     re-snapshotting (outermost ones under `oi`/`unrestricted`, innermost
     under `io`).  A custom chooser may return None to stop early, and must
     pick from the eligible list.
+
+    The current term's redexes are kept in a tree that each step updates
+    from the rule body alone, so a step costs about the body and the path
+    to the redex, not the whole term.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -184,42 +301,47 @@ def derive(
     steps: list[tuple[Term, RedexInfo, Term]] = []
     exhausted = False
     term = t0
-    queue: list[Position] = []
+    root = _redex_tree(g, t0)
+    # Under `unrestricted` the fair sweep schedules the outermost redexes,
+    # which attains the value tree.
+    sweep = OI if policy == UNRESTRICTED else policy
+    queue: list[_Found] = []
     while True:
         if term.size > budget.max_term_size:
             exhausted = True
             break
-        infos = redexes(g, term)
-        eligible = [r for r in infos if r.allowed(policy)]
-        if not eligible:
-            break
-        if len(steps) >= budget.max_steps:
-            exhausted = True
-            break
         if chooser is None:
-            # Fair sweep: under `unrestricted` schedule the outermost ones,
-            # which attains the value tree.
-            sweep = [r for r in eligible if r.is_oi] if policy == UNRESTRICTED else eligible
-            by_pos = {r.position: r for r in sweep}
-            chosen = None
-            while queue:
-                p = queue.pop(0)
-                if p in by_pos:
-                    chosen = by_pos[p]
+            if not queue:
+                # The queued redexes are pairwise disjoint (none lies below
+                # another), so rewriting one leaves the others in place with
+                # the same flags: a round needs no new snapshot.
+                queue = _eligible(root, sweep)
+                queue.reverse()
+                if not queue:
                     break
-            if chosen is None:
-                queue = [r.position for r in sweep]
-                chosen = by_pos[queue.pop(0)]
+            if len(steps) >= budget.max_steps:
+                exhausted = True
+                break
+            found = queue.pop()
+            chosen = found[2]
         else:
-            chosen = chooser(term, eligible)
+            candidates = _eligible(root, policy)
+            if not candidates:
+                break
+            if len(steps) >= budget.max_steps:
+                exhausted = True
+                break
+            chosen = chooser(term, [info for _, _, info in candidates])
             if chosen is None:
                 break
-            if all(chosen.position != r.position for r in eligible):
+            at = {info.position: (p, r, info) for p, r, info in candidates}
+            if chosen.position not in at:
                 raise PolicyViolation(
                     f"chooser picked {chosen.position} which is not an "
                     f"eligible {policy} redex"
                 )
-        after = step(g, term, chosen.position)
+            found = at[chosen.position]
+        after = _rewrite(g, term, found)
         steps.append((term, chosen, after))
         term = after
     return DerivationTrace(steps, exhausted)
@@ -239,14 +361,17 @@ _BEYOND = -2
 
 
 class _MNode:
-    __slots__ = ("sym", "kids", "parent", "nredex", "redex", "vis", "stamp")
+    """A node of the evaluator's mutable term.  `redex`: the node can be
+    rewritten; `hot`: it or some node below it can."""
+
+    __slots__ = ("sym", "kids", "parent", "redex", "hot", "vis", "stamp")
 
     def __init__(self, sym: Symbol, kids: list["_MNode"]):
         self.sym = sym
         self.kids = kids
         self.parent: _MNode | None = None
-        self.nredex = 0
         self.redex = False
+        self.hot = False
         self.vis: int | None = None
         self.stamp = -1
         for k in kids:
@@ -285,12 +410,9 @@ class _Evaluator:
 
     # -- construction -------------------------------------------------
 
-    def _is_redex(self, sym: Symbol, nkids: int) -> bool:
-        return (
-            sym.kind == NONTERMINAL
-            and sym.name in self.rules
-            and nkids == arity(sym.type)
-        )
+    def _classify(self, m: _MNode) -> None:
+        m.redex = _is_redex_head(self.g, m.sym, len(m.kids))
+        m.hot = m.redex or any(k.hot for k in m.kids)
 
     def _from_term(self, t: Term) -> _MNode:
         done: dict[int, _MNode] = {}
@@ -303,8 +425,7 @@ class _Evaluator:
                     stack.append((a, False))
                 continue
             m = _MNode(node.head, [done[id(a)] for a in node.args])
-            m.redex = self._is_redex(node.head, len(node.args))
-            m.nredex = int(m.redex) + sum(k.nredex for k in m.kids)
+            self._classify(m)
             done[id(node)] = m
         return done[id(t)]
 
@@ -342,7 +463,7 @@ class _Evaluator:
                 continue
             m = _MNode(n.sym, [done[id(k)] for k in n.kids])
             m.redex = n.redex
-            m.nredex = n.nredex
+            m.hot = n.hot
             m.vis = n.vis
             done[id(n)] = m
             count += 1
@@ -381,8 +502,7 @@ class _Evaluator:
             else:
                 m = _MNode(head, [build(a) for a in bt.args])
                 delta_size += 1
-            m.redex = self._is_redex(m.sym, len(m.kids))
-            m.nredex = int(m.redex) + sum(k.nredex for k in m.kids)
+            self._classify(m)
             return m
 
         inst = build(rule.body)
@@ -391,18 +511,18 @@ class _Evaluator:
                 delta_size -= self._subtree_size(argmap[name])
         self.size += delta_size - 1
 
-        old_nredex = node.nredex
         node.sym = inst.sym
         node.kids = inst.kids
         for k in node.kids:
             k.parent = node
         node.redex = inst.redex
-        node.nredex = inst.nredex
-        delta = node.nredex - old_nredex
-        if delta:
+        node.hot = inst.hot
+        # The node was a redex, so it was hot.  If it cooled, clear `hot`
+        # upwards only as far as it flips; each check reads one node's kids.
+        if not node.hot:
             p = node.parent
-            while p is not None:
-                p.nredex += delta
+            while p is not None and not p.redex and not any(k.hot for k in p.kids):
+                p.hot = False
                 p = p.parent
         self._assign_vis(node, node.vis)  # type: ignore[arg-type]
         self.steps_used += 1
@@ -417,35 +537,49 @@ class _Evaluator:
     # -- fair outermost (value tree of unrestricted/OI derivations) ----
 
     def run_outermost(self) -> None:
-        while True:
-            fired = 0
-            stack = [self.root]
-            while stack:
-                n = stack.pop()
-                if n.vis == _BEYOND:
-                    continue
-                if n.redex:
-                    if not self._budget_left():
-                        return
-                    self._fire(n)
-                    fired += 1
-                    if self.exhausted:
-                        return
-                    continue
-                if n.sym.kind == TERMINAL:
-                    for k in reversed(n.kids):
-                        stack.append(k)
-                # non-terminal head, not a redex: frozen forever, skip
-            if fired == 0:
-                return
+        # A round rewrites every visible outermost redex.  Their ancestors
+        # are terminal nodes, which never change, so the next round's
+        # outermost redexes all lie in this round's contracta: it starts
+        # from the rewritten nodes, in the same document order.
+        current = [self.root]
+        while current:
+            fired: list[_MNode] = []
+            for w in current:
+                stack = [w]
+                while stack:
+                    n = stack.pop()
+                    if n.vis == _BEYOND:
+                        continue
+                    if n.redex:
+                        if not self._budget_left():
+                            return
+                        self._fire(n)
+                        fired.append(n)
+                        if self.exhausted:
+                            return
+                        continue
+                    if n.sym.kind == TERMINAL:
+                        for k in reversed(n.kids):
+                            stack.append(k)
+                    # non-terminal head, not a redex: frozen forever, skip
+            current = fired
 
     # -- fair parallel-innermost (IO value tree) ------------------------
+
+    @staticmethod
+    def _innermost(n: _MNode) -> bool:
+        return n.redex and not any(k.hot for k in n.kids)
 
     def _death_walk(self, node: _MNode, out: list[_MNode], round_no: int) -> None:
         p = node.parent
         while p is not None and not p.redex:
             p = p.parent
-        if p is not None and p.nredex == 1 and p.vis != _BEYOND and p.stamp != round_no:
+        if (
+            p is not None
+            and self._innermost(p)
+            and p.vis != _BEYOND
+            and p.stamp != round_no
+        ):
             p.stamp = round_no
             out.append(p)
 
@@ -456,13 +590,13 @@ class _Evaluator:
             round_no += 1
             nxt: list[_MNode] = []
             for w in current:
-                if w.nredex > 0:
+                if w.hot:
                     stack = [w]
                     while stack:
                         n = stack.pop()
-                        if n.nredex == 0 or n.vis == _BEYOND:
+                        if not n.hot or n.vis == _BEYOND:
                             continue
-                        if n.redex and n.nredex == 1:
+                        if self._innermost(n):
                             if not self._budget_left():
                                 return
                             self._fire(n)
@@ -474,19 +608,29 @@ class _Evaluator:
                             continue
                         for k in reversed(n.kids):
                             stack.append(k)
-                if w.nredex == 0:
+                if not w.hot:
                     self._death_walk(w, nxt, round_no)
             current = nxt
 
     # -- output ---------------------------------------------------------
 
     def extract(self) -> PartialTree:
-        def go(node: _MNode, depth: int) -> PartialTree:
-            if depth <= 0 or node.sym.kind != TERMINAL:
-                return BOT
-            return PartialTree(node.sym, tuple(go(k, depth - 1) for k in node.kids))
-
-        return go(self.root, self.depth)
+        """The prefix, built bottom-up with an explicit stack: the requested
+        depth may exceed the recursion limit."""
+        done: list[PartialTree] = []
+        stack: list[tuple[_MNode, int, bool]] = [(self.root, self.depth, False)]
+        while stack:
+            node, depth, expanded = stack.pop()
+            if expanded:
+                cut = len(done) - len(node.kids)
+                done[cut:] = [PartialTree(node.sym, tuple(done[cut:]))]
+            elif depth <= 0 or node.sym.kind != TERMINAL:
+                done.append(BOT)
+            else:
+                stack.append((node, depth, True))
+                for k in reversed(node.kids):
+                    stack.append((k, depth - 1, False))
+        return done[0]
 
 
 def value_tree_report(

@@ -12,7 +12,9 @@ import pytest
 from hors import (
     GROUND,
     Arrow,
+    DerivationTrace,
     EvalBudget,
+    RedexInfo,
     Rule,
     Scheme,
     Symbol,
@@ -22,10 +24,12 @@ from hors import (
     derive,
     nonterminal,
     parse,
+    step,
     terminal,
     truncate,
     variable,
 )
+from hors.core import NONTERMINAL, arity
 
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
 
@@ -230,3 +234,105 @@ def naive_value_tree(g: Scheme, policy: str, budget: EvalBudget):
     trace = derive(g, g.start_term(), policy, budget)
     final = trace.terms[-1] if trace.terms else g.start_term()
     return truncate(bottom_transform(final), budget.depth), trace.exhausted_budget
+
+
+def _rule_arities(g: Scheme) -> dict[str, int]:
+    return {name: arity(g.nonterminals[name].type) for name in g.rules}
+
+
+def _is_redex(arities: dict[str, int], node: Term) -> bool:
+    return node.head.kind == NONTERMINAL and arities.get(node.head.name) == len(node.args)
+
+
+_HOT, _INNERMOST = 1, 2  # a subterm holds a redex / holds an innermost one
+
+
+def _redex_flags(arities: dict[str, int], t: Term, flags: dict) -> dict:
+    """Fill `flags`, id -> _HOT | _INNERMOST bits, for every subterm of t not
+    in it yet.  `flags[None]` keeps those subterms alive, so that their ids
+    stay valid while later terms that share them are scanned."""
+    pinned = flags.setdefault(None, [])
+    post: list[tuple[Term, bool]] = [(t, False)]
+    while post:
+        node, expanded = post.pop()
+        if id(node) in flags:
+            continue
+        if expanded:
+            own = _is_redex(arities, node)
+            below = 0
+            for a in node.args:
+                below |= flags[id(a)]
+            bits = below & _INNERMOST
+            if own or below:
+                bits |= _HOT
+            if own and not below & _HOT:
+                bits |= _INNERMOST
+            flags[id(node)] = bits
+            pinned.append(node)
+            continue
+        post.append((node, True))
+        post.extend((a, False) for a in node.args)
+    return flags
+
+
+def reference_redexes(
+    g: Scheme, t: Term, policy: str = "unrestricted", flags: dict | None = None
+) -> list[RedexInfo]:
+    """The redexes of t the policy allows, in document order, by a walk from
+    the root into every subterm that holds one.  `flags` may carry the
+    subterm flags over from earlier terms that share subterms with t."""
+    arities = _rule_arities(g)
+    flags = _redex_flags(arities, t, {} if flags is None else flags)
+    wanted = _INNERMOST if policy == "io" else _HOT
+    out: list[RedexInfo] = []
+    path: list[int] = []  # the position of the node being visited
+    pre: list[tuple[Term, int, int, bool]] = [(t, 0, 0, False)] if flags[id(t)] & wanted else []
+    while pre:
+        node, depth, i, above = pre.pop()
+        del path[max(depth - 1, 0) :]
+        if depth:
+            path.append(i)
+        own = _is_redex(arities, node)
+        if own:
+            io = not any(flags[id(a)] & _HOT for a in node.args)
+            if policy == "unrestricted" or (io if policy == "io" else not above):
+                out.append(RedexInfo(tuple(path), node.head, not above, io))
+        for i in range(len(node.args), 0, -1):
+            if flags[id(node.args[i - 1])] & wanted:
+                pre.append((node.args[i - 1], depth + 1, i, above or own))
+    return out
+
+
+def reference_derive(g: Scheme, t0: Term, policy: str, budget: EvalBudget) -> DerivationTrace:
+    """The fair derivation as a loop that rescans the whole term before every
+    step: the slow route `derive`'s incremental redex tree must agree with."""
+    steps = []
+    exhausted = False
+    term = t0
+    queue: list[tuple] = []
+    flags: dict = {}
+    while True:
+        if term.size > budget.max_term_size:
+            exhausted = True
+            break
+        eligible = reference_redexes(g, term, policy, flags)
+        if not eligible:
+            break
+        if len(steps) >= budget.max_steps:
+            exhausted = True
+            break
+        sweep = [r for r in eligible if r.is_oi] if policy == "unrestricted" else eligible
+        by_pos = {r.position: r for r in sweep}
+        chosen = None
+        while queue:
+            p = queue.pop(0)
+            if p in by_pos:
+                chosen = by_pos[p]
+                break
+        if chosen is None:
+            queue = [r.position for r in sweep]
+            chosen = by_pos[queue.pop(0)]
+        after = step(g, term, chosen.position)
+        steps.append((term, chosen, after))
+        term = after
+    return DerivationTrace(steps, exhausted)

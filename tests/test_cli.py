@@ -49,6 +49,39 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["valuetree", SEPARATING, "--depth", "0"],
+        ["valuetree", SEPARATING, "--steps", "0"],
+        ["valuetree", SEPARATING, "--max-term", "0"],
+        ["valuetree", SEPARATING, "--depth", "-3"],
+        ["derive", SEPARATING, "--steps", "0"],
+        ["derive", SEPARATING, "--max-term", "x"],
+    ],
+)
+def test_nonpositive_budget_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "usage:" in err
+
+
+def test_valuetree_deep_prefix_text(tmp_path, capsys):
+    scheme = tmp_path / "ones.hors"
+    scheme.write_text("terminal a : o -> o\nnonterminal S : o\nstart S\nrule S = a S\n")
+    code, out, err = run(capsys, "valuetree", str(scheme), "--policy", "oi", "--depth", "3000")
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 3001
+    assert lines[0] == "a"
+    assert lines[2999] == "  " * 2999 + "a"
+    assert lines[3000] == "  " * 3000 + "⊥"
+
+
 def test_valuetree_oi(capsys):
     code, out, err = run(capsys, "valuetree", SEPARATING, "--policy", "oi", "--depth", "3")
     assert code == 0

@@ -1,5 +1,7 @@
 """Redex classification, derivations and value-tree prefixes."""
 
+import random
+
 import pytest
 
 from hors import (
@@ -23,7 +25,10 @@ from hors import (
     with_start,
 )
 
-from conftest import gen_scheme, naive_value_tree
+from hors.core import NONTERMINAL, arity
+from hors.engine import _Evaluator
+
+from conftest import gen_scheme, naive_value_tree, reference_derive, reference_redexes
 
 O = GROUND
 
@@ -404,3 +409,125 @@ def test_io_dual_route_on_many_generated_schemes():
             assert naive_tree == fast.tree, seed
             compared += 1
     assert compared >= 15
+
+
+def test_deep_prefix_needs_no_recursion():
+    g = parse("terminal a : o -> o\nnonterminal S : o\nstart S\nrule S = a S\n")
+    a = g.symbol("a")
+    for policy in ("oi", "io"):
+        report = value_tree_report(g, policy, EvalBudget(depth=3000))
+        assert not report.exhausted
+        node = report.tree
+        for _ in range(3000):
+            assert node.label == a
+            (node,) = node.children
+        assert node == BOT
+
+
+# ---------------------------------------------------------------------------
+# incremental bookkeeping against full rescans
+
+POLICIES = ("oi", "io", "unrestricted")
+
+
+def _trace_key(trace):
+    """What two derivations must agree on: each step's redex with its flags,
+    each result (by structural hash), the final term rendered, the verdict."""
+    chosen = [
+        (info.position, info.nonterminal, info.is_oi, info.is_io, hash(after))
+        for _, info, after in trace.steps
+    ]
+    final = term_to_str(trace.final) if trace.steps else None
+    return chosen, final, trace.exhausted_budget
+
+
+def _assert_matches_reference(g, budget, label):
+    for policy in POLICIES:
+        got = derive(g, g.start_term(), policy, budget)
+        want = reference_derive(g, g.start_term(), policy, budget)
+        assert _trace_key(got) == _trace_key(want), (label, policy)
+
+
+def test_derive_matches_full_rescans_on_corpus(corpus):
+    for g in corpus:
+        _assert_matches_reference(g, EvalBudget(600, 20_000, 3), render_name(g))
+
+
+def test_derive_matches_full_rescans_on_generated_schemes():
+    for seed in range(100, 160):
+        _assert_matches_reference(gen_scheme(seed), EvalBudget(250, 8_000, 3), seed)
+
+
+def test_derive_moves_duplicated_argument_redexes():
+    # Outermost steps copy arguments that still hold redexes (`b y y`), and
+    # complete a partial application with the body's arguments (`f (f ...)`).
+    g = parse(
+        """
+        terminal a : o -> o
+        terminal b : o -> o -> o
+        terminal c : o
+        nonterminal S : o
+        nonterminal F : o -> o
+        nonterminal G : o -> o
+        nonterminal T : (o -> o) -> o -> o
+        var x : o
+        var y : o
+        var f : o -> o
+        start S
+        rule S = b (F (G (G c))) (T G (F (G c)))
+        rule F x = a x
+        rule G y = b y y
+        rule T f x = f (f (T f x))
+        """
+    )
+    _assert_matches_reference(g, EvalBudget(200, 20_000, 3), "duplicating scheme")
+
+
+def test_chooser_receives_the_rescanned_eligible_list(corpus):
+    """Random picks leave the fair sweep's disjointness behind: every step
+    the chooser must still see exactly what a full rescan finds."""
+    budget = EvalBudget(150, 20_000, 3)
+    for g in corpus:
+        for policy in POLICIES:
+            rng = random.Random(7)
+            seen: dict = {}
+
+            def pick(term, eligible):
+                assert eligible == reference_redexes(g, term, policy, seen)
+                if policy == "unrestricted":
+                    assert redexes(g, term) == eligible
+                return rng.choice(eligible)
+
+            trace = derive(g, g.start_term(), policy, budget, chooser=pick)
+            assert trace.steps, (render_name(g), policy)
+            for before, info, after in trace.steps:
+                assert step(g, before, info.position) == after
+
+
+def _assert_flags_fresh(g, ev):
+    """Every reachable node's flags equal their values recomputed bottom-up."""
+    order, stack = [], [ev.root]
+    while stack:
+        n = stack.pop()
+        order.append(n)
+        for k in n.kids:
+            assert k.parent is n
+            stack.append(k)
+    for n in reversed(order):
+        redex = (
+            n.sym.kind == NONTERMINAL
+            and n.sym.name in g.rules
+            and len(n.kids) == arity(n.sym.type)
+        )
+        assert n.redex == redex
+        assert n.hot == (redex or any(k.hot for k in n.kids))
+
+
+def test_evaluator_flags_match_recomputation(corpus):
+    cases = [(g, EvalBudget(600, 20_000, 3)) for g in corpus]
+    cases += [(gen_scheme(seed), EvalBudget(250, 8_000, 3)) for seed in range(100, 160)]
+    for g, budget in cases:
+        for run in (_Evaluator.run_innermost, _Evaluator.run_outermost):
+            ev = _Evaluator(g, g.start_term(), budget)
+            run(ev)
+            _assert_flags_fresh(g, ev)
