@@ -56,13 +56,27 @@ def tree_text(t: PartialTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tree_json(t: PartialTree) -> dict:
-    if t.label is None:
-        return {"label": None}
-    return {
-        "label": t.label.name,
-        "children": [tree_json(c) for c in t.children],
-    }
+def tree_json_text(t: PartialTree) -> str:
+    """The tree as `hors.tree/1` JSON, byte-identical to `json.dumps` of
+    nested {"children": [...], "label": name} / {"label": null} objects with
+    sorted keys, but with an explicit stack: a prefix may be deeper than the
+    recursion limit and than the `json` encoder's nesting."""
+    parts: list[str] = []
+    stack: list = [t]  # trees still to write, and literal text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item.label is None:
+            parts.append('{"label": null}')
+        else:
+            parts.append('{"children": [')
+            stack.append('], "label": ' + json.dumps(item.label.name, ensure_ascii=False) + "}")
+            for i in range(len(item.children) - 1, -1, -1):
+                stack.append(item.children[i])
+                if i:
+                    stack.append(", ")
+    return "".join(parts)
 
 
 def atom_text(a: Atom) -> str:
@@ -151,9 +165,11 @@ def cmd_valuetree(args: argparse.Namespace) -> int:
             "depth": args.depth,
             "exhausted": result.exhausted,
             "steps_used": result.steps_used,
-            "tree": tree_json(result.tree),
         }
-        _write_out(json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n", args.out)
+        head = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+        # "tree" sorts after every other key, so it closes the object.
+        text = head[:-1] + ', "tree": ' + tree_json_text(result.tree) + "}\n"
+        _write_out(text, args.out)
     else:
         _write_out(tree_text(result.tree), args.out)
     if result.exhausted:

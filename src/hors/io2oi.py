@@ -31,21 +31,37 @@ from .core import (
     type_to_str,
 )
 from .scheme import Rule, Scheme, fresh_name, reachable_nonterminals
-from .typesys import Analysis, Conj, Q_BOT, enum_conj, sem_apply
+from .typesys import (
+    Analysis,
+    Conj,
+    Layout,
+    conj_masks,
+    enum_conj,
+    enumerable_width,
+    layout,
+    sem_apply,  # noqa: F401  (kept importable: perfbench traces hors.io2oi.sem_apply)
+)
 
 
 def nbvar(t: SimpleType) -> int:
     """How many annotation tuples the arguments of a type admit."""
     n = 1
     for arg in argument_types(t):
-        n *= len(enum_conj(arg))
+        n <<= enumerable_width(arg)
     return n
 
 
 @lru_cache(maxsize=None)
 def sigma_tuples(t: SimpleType) -> tuple[tuple[Conj, ...], ...]:
-    """All annotation tuples for a type, in canonical order."""
+    """All annotation tuples for a type, in canonical order, as `Conj`s."""
     spaces = [enum_conj(arg) for arg in argument_types(t)]
+    return tuple(itertools.product(*spaces))
+
+
+@lru_cache(maxsize=None)
+def mask_tuples(t: SimpleType) -> tuple[tuple[int, ...], ...]:
+    """`sigma_tuples` as masks, in the same order: what labeling keys on."""
+    spaces = [conj_masks(arg) for arg in argument_types(t)]
     return tuple(itertools.product(*spaces))
 
 
@@ -65,11 +81,14 @@ def plus_type(t: SimpleType) -> SimpleType:
 
 @dataclass(frozen=True)
 class AnnotatedSymbol:
-    """An annotated copy of a base symbol; the base is always recoverable."""
+    """An annotated copy of a base symbol; the base is always recoverable.
+
+    The annotation holds one conjunction mask per argument of the base.
+    """
 
     symbol: Symbol
     base: Symbol
-    annotation: tuple[Conj, ...]
+    annotation: tuple[int, ...]
 
 
 class Labeling:
@@ -79,15 +98,15 @@ class Labeling:
         self.base = g
         self.analysis = analysis if analysis is not None else Analysis(g)
         taken = set(g.terminals)
-        self.nt_ann: dict[tuple[str, tuple[Conj, ...]], Symbol] = {}
-        self.var_ann: dict[tuple[str, tuple[Conj, ...]], Symbol] = {}
+        self.nt_ann: dict[tuple[str, tuple[int, ...]], Symbol] = {}
+        self.var_ann: dict[tuple[str, tuple[int, ...]], Symbol] = {}
         self.ann_of: dict[str, AnnotatedSymbol] = {}
 
         def register(
             table: dict, sym: Symbol, kind: str
         ) -> None:
             plus = plus_type(sym.type)
-            for idx, tup in enumerate(sigma_tuples(sym.type)):
+            for idx, tup in enumerate(mask_tuples(sym.type)):
                 name = sym.name if not tup else f"{sym.name}#{idx}"
                 name = fresh_name(name, taken)
                 taken.add(name)
@@ -101,29 +120,24 @@ class Labeling:
             register(self.var_ann, sym, VARIABLE)
 
     def plus_term(
-        self, t: Term, venv: dict[str, Conj], annotation: tuple[Conj, ...]
+        self, t: Term, venv: dict[str, int], annotation: tuple[int, ...]
     ) -> Term:
         """The annotated, duplicated image of a term.
 
-        Terminals stay themselves; non-terminals and variables become the
-        copy selected by `annotation`; at an application the head is
-        annotated with the argument's semantics and the argument is
-        duplicated once per annotation tuple of its type.
+        Terminals stay themselves; a non-terminal or variable head becomes
+        the copy annotated with the semantics of its arguments followed by
+        `annotation`; each argument is duplicated once per annotation tuple
+        of its type.
         """
-        if not t.args:
-            head = t.head
-            if head.kind == TERMINAL:
-                return Term(head)
+        head = t.head
+        if head.kind != TERMINAL:
+            semantics = self.analysis.semantics_mask
+            full = tuple(semantics(a, venv) for a in t.args) + annotation
             table = self.nt_ann if head.kind == NONTERMINAL else self.var_ann
-            return Term(table[(head.name, annotation)])
-        fun = Term(t.head, t.args[:-1])
-        arg = t.args[-1]
-        sigma = self.analysis.semantics(arg, venv)
-        fun_plus = self.plus_term(fun, venv, (sigma,) + annotation)
-        copies = tuple(
-            self.plus_term(arg, venv, tup) for tup in sigma_tuples(arg.type)
-        )
-        return Term(fun_plus.head, fun_plus.args + copies)
+            head = table[(head.name, full)]
+        return Term(head, tuple(
+            self.plus_term(a, venv, tup) for a in t.args for tup in mask_tuples(a.type)
+        ))
 
 
 @dataclass(eq=False)
@@ -152,14 +166,14 @@ def label_scheme(g: Scheme, analysis: Analysis | None = None) -> LabeledScheme:
     for f in g.nonterminals.values():
         base_rule = g.rules.get(f.name)
         param_types = argument_types(f.type)
-        for tup in sigma_tuples(f.type):
+        for tup in mask_tuples(f.type):
             annotated = lab.nt_ann[(f.name, tup)]
             nonterminals[annotated.name] = annotated
             if base_rule is None:
                 continue
             params: list[Symbol] = []
             for p, ty in zip(base_rule.params, param_types):
-                for ptup in sigma_tuples(ty):
+                for ptup in mask_tuples(ty):
                     params.append(lab.var_ann[(p.name, ptup)])
             venv = {p.name: s for p, s in zip(base_rule.params, tup)}
             body = lab.plus_term(base_rule.body, venv, ())
@@ -217,35 +231,26 @@ def self_correct_report(gprime: LabeledScheme) -> tuple[Scheme, CorrectionReport
     rules: dict[str, Rule] = {}
     voided: list[str] = []
 
-    # Annotation tuples share prefixes, so partial applications are cached.
-    partial: dict[tuple, tuple[Conj, SimpleType]] = {}
+    # Annotation tuples share prefixes, so partial applications are cached:
+    # (base name, annotation prefix) -> (mask, layout of the type left).
+    partial: dict[tuple[str, tuple[int, ...]], tuple[int, Layout]] = {}
 
-    def applied(base: Symbol, annotation: tuple[Conj, ...]) -> Conj:
+    def applied(base: Symbol, annotation: tuple[int, ...]) -> tuple[int, Layout]:
         key = (base.name, annotation)
         hit = partial.get(key)
-        if hit is not None:
-            return hit[0]
-        if not annotation:
-            sem: Conj = analysis.semantics(Term(base))
-            remaining = base.type
-        else:
-            sem, remaining = _applied_with_type(base, annotation)
-        partial[key] = (sem, remaining)
-        return sem
-
-    def _applied_with_type(base, annotation):
-        prev_key = (base.name, annotation[:-1])
-        if prev_key not in partial:
-            applied(base, annotation[:-1])
-        sem, remaining = partial[prev_key]
-        assert isinstance(remaining, Arrow)
-        remaining = remaining.result
-        return sem_apply(sem, annotation[-1], remaining), remaining
+        if hit is None:
+            if annotation:
+                sem, lay = applied(base, annotation[:-1])
+                hit = analysis.apply(lay, sem, annotation[-1]), lay.result
+            else:
+                hit = analysis.semantics_mask(Term(base)), layout(base.type)
+            partial[key] = hit
+        return hit
 
     for name, rule in gprime.rules.items():
         info = lab.ann_of[name]
-        sem = applied(info.base, info.annotation)
-        if Q_BOT in sem:
+        sem, lay = applied(info.base, info.annotation)
+        if lay.has_bot(sem):
             rules[name] = Rule(rule.lhs, rule.params, Term(void))
             voided.append(name)
         else:

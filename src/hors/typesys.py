@@ -16,17 +16,31 @@ Judgements  env |- t |> atom  are derived by six rules:
   (ArrI) any arrow-typed term matches {q_inf} -> q_inf
   (InfI) t1 t2 matches q_inf if t1 does
 
-`judge` implements these literally as a goal-directed search and is the slow,
-independent route.  `Analysis` computes the greatest environment closed under
-the rules (descending fixpoint from the full assignment) and evaluates term
-semantics bottom-up; the two routes are checked against each other in the
-test suite.
+`judge` implements these literally as a goal-directed search over `Atom` and
+`Conj` objects and is the slow, independent route; `sem_apply` is the
+object-level application it is checked against.
+
+`Analysis` computes the greatest environment closed under the rules
+(descending fixpoint from the full assignment) and evaluates term semantics
+bottom-up, on int bitmasks.  Each type's atoms are numbered in the canonical
+order `enum_atoms` fixes (see `Layout`): over `o`, q_bot is bit 0 and q_inf
+bit 1; over `s -> t`, q_inf is bit 0 and the arrow atom `c -> r` is bit
+`1 + conj_index(c) * |A(t)| + index(r)`, where `conj_index` is the position
+of `c` in `enum_conj(s)`.  A conjunction is the mask of its atoms, so the
+full assignment is `(1 << |A(t)|) - 1` and nothing is enumerated to build
+it.  Application tabulates a function mask once, against every argument
+mask (`Layout.results`), and is then one list lookup.  Masks are decoded
+to `Conj` only at the output boundary (`Analysis.env`,
+`Analysis.semantics`), once per distinct (type, mask).
+
+Feasibility is decided by arithmetic before anything is enumerated:
+`|A(o)| = 2` and `|A(s -> t)| = 1 + 2^|A(s)| * |A(t)|` (`atom_count`), and
+an argument type with more than MAX_ENUM_ATOMS atoms is refused.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
@@ -39,7 +53,6 @@ from .core import (
     SimpleType,
     Symbol,
     Term,
-    argument_types,
     arity,
     type_to_str,
 )
@@ -199,6 +212,34 @@ def conj_fits(c: Conj, t: SimpleType) -> bool:
     return all(atom_fits(a, t) for a in c)
 
 
+# ---------------------------------------------------------------------------
+# Counting and enumeration
+
+
+@lru_cache(maxsize=None)
+def atom_count(t: SimpleType) -> int:
+    """|A(t)| in closed form: 2 for `o`, 1 + 2^|A(s)| * |A(r)| for s -> r.
+
+    Raises AnalysisInfeasible exactly where `enum_atoms(t)` would, with the
+    same message: at the first argument type, in enumeration order, whose
+    conjunctions are too many to enumerate.
+    """
+    if isinstance(t, Ground):
+        return 2
+    return 1 + (1 << enumerable_width(t.argument)) * atom_count(t.result)
+
+
+def enumerable_width(t: SimpleType) -> int:
+    """|A(t)|, refused when its 2^|A(t)| conjunctions are not enumerable."""
+    n = atom_count(t)
+    if n > MAX_ENUM_ATOMS:
+        raise AnalysisInfeasible(
+            f"type {type_to_str(t)} has {n} atoms; enumerating its "
+            f"2^{n} conjunctions is not feasible"
+        )
+    return n
+
+
 @lru_cache(maxsize=None)
 def enum_atoms(t: SimpleType) -> tuple[Atom, ...]:
     """All atoms of a type, in canonical order."""
@@ -215,17 +256,184 @@ def enum_atoms(t: SimpleType) -> tuple[Atom, ...]:
 @lru_cache(maxsize=None)
 def enum_conj(t: SimpleType) -> tuple[Conj, ...]:
     """All conjunctions over a type, in canonical order (2^#atoms of them)."""
+    enumerable_width(t)
     atoms = enum_atoms(t)
-    if len(atoms) > MAX_ENUM_ATOMS:
-        raise AnalysisInfeasible(
-            f"type {type_to_str(t)} has {len(atoms)} atoms; enumerating its "
-            f"2^{len(atoms)} conjunctions is not feasible"
-        )
     out = []
     for r in range(len(atoms) + 1):
         for subset in itertools.combinations(atoms, r):
             out.append(Conj(subset))
     return tuple(sorted(out, key=lambda c: c.key()))
+
+
+@lru_cache(maxsize=None)
+def conj_masks(t: SimpleType) -> tuple[int, ...]:
+    """The masks of `enum_conj(t)`, in the same order.
+
+    Canonical order is by size, then lexicographic in atom order, which is
+    exactly the order `itertools.combinations` yields index subsets in.
+    """
+    n = enumerable_width(t)
+    return tuple(
+        sum(1 << i for i in subset)
+        for r in range(n + 1)
+        for subset in itertools.combinations(range(n), r)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Bit layouts
+
+
+def _mask_of(bits: Iterable[int], n: int) -> int:
+    """The mask with the given bit indices set, built in one pass."""
+    buf = bytearray((n + 7) >> 3)
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _bit_indices(mask: int) -> list[int]:
+    digits = bin(mask)[:1:-1]  # least significant digit first
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+class Layout:
+    """The bit layout of one type's atoms, in `enum_atoms` order.
+
+    `n` atoms; q_inf at index `inf_at`, so `inf` is its bit; `arrow_inf`
+    the bit of the always-true atom {q_inf} -> q_inf (0 over `o`).  An
+    arrow layout also holds its argument's layout and conjunction masks
+    (`conjs`, in `enum_conj` order) and its result's layout.
+    """
+
+    __slots__ = (
+        "type", "n", "inf_at", "inf", "arrow_inf", "argument", "result", "conjs",
+        "_conj_index", "_decoded",
+    )
+
+    def __init__(self, t: SimpleType):
+        self.type = t
+        self.n = atom_count(t)
+        self._decoded: dict[int, Conj] = {}
+        if isinstance(t, Ground):
+            self.inf_at, self.inf = 1, 0b10
+            self.arrow_inf = 0
+            self.argument = self.result = None
+            self.conjs: tuple[int, ...] = ()
+            self._conj_index: dict[int, int] = {}
+            return
+        self.inf_at, self.inf = 0, 0b1
+        self.argument = layout(t.argument)
+        self.result = layout(t.result)
+        self.conjs = conj_masks(t.argument)
+        self._conj_index = {m: i for i, m in enumerate(self.conjs)}
+        inf_conj = self._conj_index[self.argument.inf]
+        self.arrow_inf = 1 << self.arrow_bit(inf_conj, self.result.inf_at)
+
+    @property
+    def full(self) -> int:
+        return (1 << self.n) - 1
+
+    def arrow_bit(self, conj_index: int, result_bit: int) -> int:
+        """The index of the arrow atom (conjs[conj_index]) -> (result atom)."""
+        return 1 + conj_index * self.result.n + result_bit
+
+    def has_bot(self, mask: int) -> bool:
+        """Whether q_bot is in a mask of this type (only `o` has it)."""
+        return self.result is None and bool(mask & 1)
+
+    # -- the output boundary ------------------------------------------------
+
+    def atom(self, i: int) -> Atom:
+        if self.result is None:
+            return (Q_BOT, Q_INF)[i]
+        if i == 0:
+            return Q_INF
+        ci, ri = divmod(i - 1, self.result.n)
+        return ArrowMap(self.argument.decode(self.conjs[ci]), self.result.atom(ri))
+
+    def decode(self, mask: int) -> Conj:
+        hit = self._decoded.get(mask)
+        if hit is None:
+            hit = Conj(self.atom(i) for i in _bit_indices(mask))
+            self._decoded[mask] = hit
+        return hit
+
+    def index(self, a: Atom) -> int:
+        if isinstance(a, QInf):
+            return self.inf_at
+        if self.result is None and isinstance(a, QBot):
+            return 0
+        if self.result is not None and isinstance(a, ArrowMap):
+            ci = self._conj_index[self.argument.encode(a.argument)]
+            return self.arrow_bit(ci, self.result.index(a.result))
+        raise ValueError(f"{a!r} is not an atom of type {type_to_str(self.type)}")
+
+    def encode(self, c: Conj) -> int:
+        return _mask_of((self.index(a) for a in c), self.n)
+
+    # -- application --------------------------------------------------------
+
+    def results(self, fun: int) -> list[int]:
+        """A function mask of this arrow type applied to every argument mask
+        at once: entry `arg` is the result for argument `arg`.
+
+        Each arrow atom c -> r of `fun` puts r at entry `c`; (InfI) and
+        (ArrI) put their atoms at entry 0 (the empty conjunction).  A
+        superset sum then gives every argument the results of all the
+        conjunctions it contains, `n * 2^(n-1)` ORs for n argument atoms.
+        """
+        res = self.result
+        size = 1 << self.argument.n
+        out = [0] * size
+        out[0] = res.arrow_inf | (res.inf if fun & 1 else 0)
+        rest, width, full = fun >> 1, res.n, res.full
+        for need in self.conjs:
+            if not rest:
+                break
+            out[need] |= rest & full
+            rest >>= width
+        bit = 1
+        while bit < size:
+            for low in range(0, size, bit << 1):
+                for a in range(low + bit, low + (bit << 1)):
+                    out[a] |= out[a ^ bit]
+            bit <<= 1
+        return out
+
+    def chains(self, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Every tuple of conjunctions for the first k arguments, in the
+        product order of `enum_conj`, with the index of its chain: the atom
+        c1 -> .. -> ck -> a sits at that index plus a's index in the type
+        left after k arguments."""
+        if k == 0:
+            yield (), 0
+            return
+        res_n = self.result.n
+        for ci, c in enumerate(self.conjs):
+            head = 1 + ci * res_n
+            for rest, off in self.result.chains(k - 1):
+                yield (c,) + rest, head + off
+
+
+@lru_cache(maxsize=None)
+def layout(t: SimpleType) -> Layout:
+    """The layout of a type; raises AnalysisInfeasible where `enum_atoms`
+    would."""
+    return Layout(t)
+
+
+def _argument_layouts(lay: Layout, k: int) -> list[Layout]:
+    out = []
+    for _ in range(k):
+        out.append(lay.argument)
+        lay = lay.result
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +474,6 @@ class Env:
 
 # ---------------------------------------------------------------------------
 # Goal-directed judgement (the slow, literal route)
-
-
-def _sigma_atoms(sym: Symbol) -> tuple[Atom, ...]:
-    """All (Sig) conclusions for a terminal: s1 -> .. -> si -> q_inf with
-    1 <= i <= arity and some sj equal to the singleton {q_inf}."""
-    out: list[Atom] = []
-    arg_types = argument_types(sym.type)
-    for i in range(1, len(arg_types) + 1):
-        for sigmas in itertools.product(*(enum_conj(ty) for ty in arg_types[:i])):
-            if not any(s == CONJ_INF for s in sigmas):
-                continue
-            atom: Atom = Q_INF
-            for s in reversed(sigmas):
-                atom = ArrowMap(s, atom)
-            out.append(atom)
-    return tuple(out)
 
 
 def _matches_sigma_rule(sym: Symbol, atom: Atom) -> bool:
@@ -347,12 +539,9 @@ def judge(env: Env, t: Term, goal: Atom | Conj) -> bool:
     return atom_goal(t, goal)
 
 
-# ---------------------------------------------------------------------------
-# Compositional semantics (the fast route)
-
-
 def sem_apply(fun: Conj, arg: Conj, result_type: SimpleType) -> Conj:
-    """Semantics of an application from the semantics of its parts.
+    """Semantics of an application from the semantics of its parts, on
+    objects: the reference the mask application is tested against.
 
     Collects (App) results for every arrow atom whose argument conjunction
     the argument satisfies, propagates bare q_inf (InfI), and closes under
@@ -369,129 +558,148 @@ def sem_apply(fun: Conj, arg: Conj, result_type: SimpleType) -> Conj:
     return Conj(out)
 
 
+# ---------------------------------------------------------------------------
+# Compositional semantics on masks (the fast route)
+
+
+def _inf_chains(t: SimpleType, exact: bool) -> Iterator[tuple[int, bool]]:
+    """The index of every chain s1 -> .. -> si -> q_inf of type t, with
+    1 <= i <= arity, where some sj holds q_inf (is exactly {q_inf} when
+    `exact`), and whether the chain takes every argument."""
+    lay = layout(t)
+    k = arity(t)
+    args = _argument_layouts(lay, k)
+    for i in range(1, k + 1):
+        tail = 1 if i == k else 0  # q_inf's index in the type left after i
+        for masks, off in lay.chains(i):
+            if any((m == a.inf) if exact else (m & a.inf) for m, a in zip(masks, args)):
+                yield off + tail, i == k
+
+
 @lru_cache(maxsize=None)
-def _terminal_semantics(sym: Symbol) -> Conj:
-    base = Conj(_sigma_atoms(sym))
-    if isinstance(sym.type, Arrow):
-        base = base.union(conj(ARROW_INF))
-    return base
-
-
-def _symbol_semantics(env: Env, sym: Symbol) -> Conj:
-    if sym.kind == TERMINAL:
-        return _terminal_semantics(sym)
-    entry = env.get(sym.name)
-    if entry is None:
-        raise UnboundSymbol(f"{sym.kind} {sym.name} is not in the environment")
-    if isinstance(sym.type, Arrow):
-        return entry.union(conj(ARROW_INF))
-    return entry
+def _terminal_mask(t: SimpleType) -> int:
+    """(Sig) for a terminal of type t, closed under (ArrI)."""
+    lay = layout(t)
+    return _mask_of((b for b, _ in _inf_chains(t, exact=True)), lay.n) | lay.arrow_inf
 
 
 class _SemWalker:
-    """Bottom-up semantics with caches that survive across terms.
+    """Bottom-up semantics over one environment of non-terminal masks.
 
-    `sym_cache` holds the closed symbol semantics (stable for one
-    environment); `apply_cache` memoizes sem_apply on its operand pair, which
-    repeats heavily when the operator enumerates parameter assignments.
+    `tables` maps (layout, function mask) to the function's results for
+    every argument (`Layout.results`).  Application is a pure function of
+    its operands, so one analysis shares the table across all its walkers.
     """
 
-    def __init__(self, env: Env):
+    def __init__(self, env: Mapping[str, int], tables: dict | None = None):
         self.env = env
-        self.sym_cache: dict[str, Conj] = {}
-        self.apply_cache: dict[tuple[Conj, Conj], Conj] = {}
+        self.tables: dict[tuple[Layout, int], list[int]] = {} if tables is None else tables
+        # name -> (symbol, layout of its type, terminal mask or None)
+        self.symbols: dict[str, tuple[Symbol, Layout, int | None]] = {}
 
-    def symbol(self, sym: Symbol, venv: Mapping[str, Conj] | None) -> Conj:
-        if sym.kind == TERMINAL:
-            return _terminal_semantics(sym)
+    def symbol(self, sym: Symbol, venv: Mapping[str, int] | None) -> tuple[int, Layout]:
+        """The semantics of a symbol with its layout: the (Sig) atoms of a
+        terminal, or the symbol's entry closed under (ArrI)."""
+        hit = self.symbols.get(sym.name)
+        if hit is None or hit[0] is not sym:
+            fixed = _terminal_mask(sym.type) if sym.kind == TERMINAL else None
+            hit = self.symbols[sym.name] = (sym, layout(sym.type), fixed)
+        _, lay, fixed = hit
+        if fixed is not None:
+            return fixed, lay
         if venv is not None and sym.name in venv:
             entry = venv[sym.name]
-            if isinstance(sym.type, Arrow):
-                return entry.union(conj(ARROW_INF))
-            return entry
-        cached = self.sym_cache.get(sym.name)
-        if cached is None:
-            cached = _symbol_semantics(self.env, sym)
-            self.sym_cache[sym.name] = cached
-        return cached
+        else:
+            entry = self.env.get(sym.name)
+            if entry is None:
+                raise UnboundSymbol(f"{sym.kind} {sym.name} is not in the environment")
+        return entry | lay.arrow_inf, lay
+
+    def apply(self, lay: Layout, fun: int, arg: int) -> int:
+        """The semantics of an application of a `lay`-typed function."""
+        key = (lay, fun)
+        results = self.tables.get(key)
+        if results is None:
+            results = self.tables[key] = lay.results(fun)
+        return results[arg]
 
     def walk(
         self,
         t: Term,
-        venv: Mapping[str, Conj] | None = None,
-        memo: dict[int, Conj] | None = None,
-    ) -> Conj:
+        venv: Mapping[str, int] | None = None,
+        memo: dict[int, int] | None = None,
+    ) -> int:
         if memo is None:
             memo = {}
         cached = memo.get(id(t))
         if cached is not None:
             return cached
-        sem = self.symbol(t.head, venv)
-        remaining = t.head.type
+        sem, lay = self.symbol(t.head, venv)
         for a in t.args:
-            assert isinstance(remaining, Arrow)
-            arg_sem = self.walk(a, venv, memo)
-            remaining = remaining.result
-            key = (sem, arg_sem)
-            hit = self.apply_cache.get(key)
-            if hit is None:
-                hit = sem_apply(sem, arg_sem, remaining)
-                self.apply_cache[key] = hit
-            sem = hit
+            sem = self.apply(lay, sem, self.walk(a, venv, memo))
+            lay = lay.result
         memo[id(t)] = sem
         return sem
-
-
-def _term_semantics(env: Env, t: Term, memo: dict[int, Conj] | None = None) -> Conj:
-    """All derivable atoms of t, computed bottom-up."""
-    return _SemWalker(env).walk(t, None, memo)
 
 
 # ---------------------------------------------------------------------------
 # The rule operator and its greatest fixpoint
 
 
-def step_F(g: Scheme, env: Env) -> Env:
-    """One application of the rule operator.
-
-    For each rule F x1..xk -> e the new entry collects
-      (i)   s1 -> .. -> sk -> q      when e matches q under xi |> si,
-      (ii)  s1 -> .. -> si -> q_inf  (i <= k) when some sj contains q_inf,
-      (iii) s1 -> .. -> sk -> q_bot  when some sj contains q_inf.
-    """
-    out: dict[str, Conj] = {}
-    walker = _SemWalker(env)
-    for name, f in g.nonterminals.items():
-        rule = g.rules.get(name)
-        if rule is None:
+def _require_rules(g: Scheme) -> None:
+    for name in g.nonterminals:
+        if name not in g.rules:
             raise AnalysisInfeasible(
                 f"non-terminal {name} has no rule; the analysis is defined "
                 f"for fully ruled schemes only"
             )
-        arg_types = argument_types(f.type)
-        conj_spaces = [enum_conj(ty) for ty in arg_types]
-        atoms: list[Atom] = []
 
-        def chain(sigmas: tuple[Conj, ...], q: Atom) -> Atom:
-            cur = q
-            for s in reversed(sigmas):
-                cur = ArrowMap(s, cur)
-            return cur
 
-        for sigmas in itertools.product(*conj_spaces):
-            venv = {p.name: s for p, s in zip(rule.params, sigmas)}
-            body_sem = walker.walk(rule.body, venv)
-            for q in (Q_BOT, Q_INF):
-                if q in body_sem:
-                    atoms.append(chain(sigmas, q))  # (i)
-            if any(Q_INF in s for s in sigmas):
-                atoms.append(chain(sigmas, Q_BOT))  # (iii)
-        for i in range(1, len(arg_types) + 1):
-            for sigmas in itertools.product(*conj_spaces[:i]):
-                if any(Q_INF in s for s in sigmas):
-                    atoms.append(chain(sigmas, Q_INF))  # (ii)
-        out[name] = Conj(atoms)
-    return Env(out)
+@lru_cache(maxsize=None)
+def _argument_clauses(t: SimpleType) -> int:
+    """The atoms every rule of a t-typed non-terminal gets whatever its body:
+      (ii)  s1 -> .. -> si -> q_inf  (i <= k) when some sj contains q_inf,
+      (iii) s1 -> .. -> sk -> q_bot  when some sj contains q_inf."""
+    bits = []
+    for b, full in _inf_chains(t, exact=False):
+        bits.append(b)  # (ii)
+        if full:
+            bits.append(b - 1)  # (iii): q_bot sits just below q_inf in `o`
+    return _mask_of(bits, layout(t).n)
+
+
+def _step_masks(g: Scheme, walker: _SemWalker) -> dict[str, int]:
+    """One application of the rule operator to the walker's environment.
+
+    For each rule F x1..xk -> e the new entry collects
+      (i)   s1 -> .. -> sk -> q      when e matches q under xi |> si,
+    and the clauses of `_argument_clauses`.  The body's ground mask holds
+    q_bot at bit 0 and q_inf at bit 1, as the chain's index and the next.
+    """
+    out: dict[str, int] = {}
+    for name, f in g.nonterminals.items():
+        rule = g.rules[name]
+        lay = layout(f.type)
+        params = [p.name for p in rule.params]
+        bits = []
+        for masks, off in lay.chains(len(params)):
+            body = walker.walk(rule.body, dict(zip(params, masks)))
+            if body & 1:
+                bits.append(off)
+            if body & 2:
+                bits.append(off + 1)
+        out[name] = _mask_of(bits, lay.n) | _argument_clauses(f.type)
+    return out
+
+
+def step_F(g: Scheme, env: Env) -> Env:
+    """One application of the rule operator to an object environment: the
+    clauses of `_step_masks` and `_argument_clauses`."""
+    _require_rules(g)
+    layouts = {name: layout(f.type) for name, f in g.nonterminals.items()}
+    masks = {name: layouts[name].encode(c) for name, c in env.entries.items()}
+    out = _step_masks(g, _SemWalker(masks))
+    return Env({name: layouts[name].decode(m) for name, m in out.items()})
 
 
 def initial_env(g: Scheme) -> Env:
@@ -507,67 +715,97 @@ def theta_star(g: Scheme) -> Env:
 class Analysis:
     """Fixpoint analysis of one scheme plus memoized term semantics.
 
+    Feasibility is checked before anything is enumerated: every non-terminal
+    needs a rule, and every argument type at most MAX_ENUM_ATOMS atoms.
+    `masks` holds the fixpoint; `env` decodes it.
+
     Not safe to share across threads: the memo table is unsynchronized.
     """
 
     def __init__(self, g: Scheme, max_iterations: int | None = None):
         self.scheme = g
-        bound = sum(len(enum_atoms(f.type)) for f in g.nonterminals.values())
+        _require_rules(g)
+        bound = sum(atom_count(f.type) for f in g.nonterminals.values())
         limit = max_iterations if max_iterations is not None else bound + 1
-        env = initial_env(g)
+        tables: dict = {}
+        masks = {name: layout(f.type).full for name, f in g.nonterminals.items()}
         iterations = 0
         while True:
-            nxt = step_F(g, env)
-            for name in env:
-                if not nxt.entries[name].issubset(env.entries[name]):
+            nxt = _step_masks(g, _SemWalker(masks, tables))
+            for name, m in masks.items():
+                if nxt[name] & ~m:
                     raise AssertionError(
                         f"rule operator grew the entry of {name}; "
                         f"iteration is not descending"
                     )
-            if nxt == env:
+            if nxt == masks:
                 break
-            env = nxt
+            masks = nxt
             iterations += 1
             if iterations > limit:
                 raise AnalysisInfeasible(
                     f"fixpoint not reached within {limit} iterations"
                 )
-        self.env = env
+        self.masks = masks
         self.iterations = iterations
         self.atom_bound = bound
-        self._memo: dict[tuple[Term, tuple[tuple[str, Conj], ...]], Conj] = {}
-        self._walker = _SemWalker(env)
+        self._env: Env | None = None
+        self._memo: dict[tuple[Term, tuple[tuple[str, int], ...]], int] = {}
+        self._walker = _SemWalker(masks, tables)
 
-    def semantics(self, t: Term, venv: Mapping[str, Conj] | None = None) -> Conj:
-        """The conjunction of all atoms derivable for t under the fixpoint
-        environment extended with `venv` for the term's free variables."""
-        venv = dict(venv or {})
+    @property
+    def env(self) -> Env:
+        """The fixpoint as `Conj` objects, decoded on first use."""
+        if self._env is None:
+            self._env = Env({
+                name: layout(self.scheme.nonterminals[name].type).decode(m)
+                for name, m in self.masks.items()
+            })
+        return self._env
+
+    def apply(self, lay: Layout, fun: int, arg: int) -> int:
+        """Mask application of a `lay`-typed function to an argument."""
+        return self._walker.apply(lay, fun, arg)
+
+    def semantics_mask(self, t: Term, venv: Mapping[str, int] | None = None) -> int:
+        """The mask of all atoms derivable for t under the fixpoint
+        environment extended with `venv` (masks) for its free variables."""
+        venv = venv or {}
         free = _free_variables(t)
-        missing = free - set(venv)
+        missing = free.keys() - venv.keys()
         if missing:
             raise UnboundSymbol(
                 f"term has unbound variables: {', '.join(sorted(missing))}"
             )
-        key = (t, tuple(sorted((n, venv[n]) for n in free)))
+        bound = {n: venv[n] for n in free}
+        key = (t, tuple(sorted(bound.items())))
         cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._walker.walk(t, {n: venv[n] for n in free}, {})
-        self._memo[key] = result
-        return result
+        if cached is None:
+            cached = self._memo[key] = self._walker.walk(t, bound, {})
+        return cached
+
+    def semantics(self, t: Term, venv: Mapping[str, Conj] | None = None) -> Conj:
+        """`semantics_mask` on `Conj` objects."""
+        venv = venv or {}
+        masks = {
+            n: layout(sym.type).encode(venv[n])
+            for n, sym in _free_variables(t).items()
+            if n in venv
+        }
+        return layout(t.type).decode(self.semantics_mask(t, masks))
 
     def nonterminal_semantics(self, name: str) -> Conj:
         sym = self.scheme.nonterminals[name]
         return self.semantics(Term(sym))
 
 
-def _free_variables(t: Term) -> set[str]:
-    out: set[str] = set()
+def _free_variables(t: Term) -> dict[str, Symbol]:
+    out: dict[str, Symbol] = {}
     stack = [t]
     while stack:
         node = stack.pop()
         if node.head.kind == VARIABLE:
-            out.add(node.head.name)
+            out[node.head.name] = node.head
         stack.extend(node.args)
     return out
 

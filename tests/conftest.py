@@ -8,6 +8,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from hors import (
     GROUND,
@@ -32,6 +33,11 @@ from hors import (
 from hors.core import NONTERMINAL, arity
 
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
+
+# Property tests draw the same examples on every run and keep no example
+# database, so they cost the same fixed time in every Tier-1 run.
+settings.register_profile("hors", derandomize=True, database=None, deadline=None)
+settings.load_profile("hors")
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hors import EvalBudget, render, value_tree_report
 from hors.cli import main
 
 from conftest import SCHEMES_DIR
@@ -80,6 +81,53 @@ def test_valuetree_deep_prefix_text(tmp_path, capsys):
     assert lines[0] == "a"
     assert lines[2999] == "  " * 2999 + "a"
     assert lines[3000] == "  " * 3000 + "⊥"
+
+
+def _tree_dict(t):
+    """The recursive reference shape of a `hors.tree/1` tree."""
+    if t.label is None:
+        return {"label": None}
+    return {"label": t.label.name, "children": [_tree_dict(c) for c in t.children]}
+
+
+def test_valuetree_structured_matches_json_dumps(tmp_path, capsys, corpus):
+    for i, g in enumerate(corpus):
+        path = tmp_path / f"g{i}.hors"
+        path.write_text(render(g), encoding="utf-8")
+        for policy, engine_policy in (("oi", "oi"), ("io", "io"), ("any", "unrestricted")):
+            code, out, _ = run(
+                capsys, "valuetree", str(path), "--policy", policy, "--depth", "4",
+                "--steps", "1500", "--format", "structured",
+            )
+            assert code == 0
+            result = value_tree_report(g, engine_policy, EvalBudget(1500, 100_000, 4))
+            payload = {
+                "schema": "hors.tree/1",
+                "policy": policy,
+                "depth": 4,
+                "exhausted": result.exhausted,
+                "steps_used": result.steps_used,
+                "tree": _tree_dict(result.tree),
+            }
+            assert out == json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("policy", ["oi", "io"])
+def test_valuetree_deep_prefix_structured(tmp_path, capsys, policy):
+    scheme = tmp_path / "ones.hors"
+    scheme.write_text("terminal a : o -> o\nnonterminal S : o\nstart S\nrule S = a S\n")
+    code, out, err = run(
+        capsys, "valuetree", str(scheme), "--policy", policy, "--depth", "3000",
+        "--format", "structured",
+    )
+    assert code == 0
+    assert err == ""
+    tree = '{"children": [' * 3000 + '{"label": null}' + '], "label": "a"}' * 3000
+    head, _, rest = out.partition(', "tree": ')
+    assert rest == tree + "}\n"
+    header = json.loads(head + "}")
+    assert header["depth"] == 3000 and header["schema"] == "hors.tree/1"
+    assert header["exhausted"] is False
 
 
 def test_valuetree_oi(capsys):

@@ -25,6 +25,7 @@ from hors import (
     validate,
     value_tree,
 )
+from hors.io2oi import mask_tuples
 
 from conftest import applier_scheme, twice_scheme
 
@@ -73,10 +74,10 @@ def test_plus_term_duplicates_higher_order_argument():
     # F^{sem(H)} applied to one copy of H per ground conjunction, in order
     sem_h = an.semantics(Term(h))
     f_tuples = sigma_tuples(f.type)
-    assert plus.head == lab.nt_ann[(f.name, (sem_h,))]
+    assert plus.head == lab.nt_ann[(f.name, (an.semantics_mask(Term(h)),))]
     assert f_tuples.index((sem_h,)) == int(plus.head.name.split("#")[1])
     assert len(plus.args) == 4
-    expected_copies = [lab.nt_ann[(h.name, tup)] for tup in sigma_tuples(h.type)]
+    expected_copies = [lab.nt_ann[(h.name, tup)] for tup in mask_tuples(h.type)]
     assert [arg.head for arg in plus.args] == expected_copies
     assert plus.type == O
 

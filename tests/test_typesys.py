@@ -1,14 +1,18 @@
 """The divergence type system: enumerations, judgements, the fixpoint."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hors import (
     BOT,
     GROUND,
     Analysis,
     AnalysisInfeasible,
+    Arrow,
     ArrowMap,
     Conj,
     Env,
@@ -18,6 +22,7 @@ from hors import (
     Term,
     UnboundSymbol,
     arrow,
+    bar_scheme,
     conj,
     derive,
     enum_atoms,
@@ -35,8 +40,9 @@ from hors import (
     with_start,
 )
 from hors.core import argument_types
+from hors.typesys import atom_count, conj_masks, layout
 
-from conftest import applier_scheme, twice_scheme
+from conftest import _analysis_safe, _candidates, applier_scheme, gen_scheme, twice_scheme
 
 O = GROUND
 OO = arrow(O, O)
@@ -93,6 +99,57 @@ def test_enum_guard_rejects_huge_types(order3):
         enum_conj(arrow(OO, O, O))
     with pytest.raises(AnalysisInfeasible):
         Analysis(order3)
+
+
+def _types_with_arrows(k):
+    """Every simple type built from o with exactly k arrows."""
+    if k == 0:
+        return [O]
+    return [
+        Arrow(a, r)
+        for i in range(k)
+        for a in _types_with_arrows(i)
+        for r in _types_with_arrows(k - 1 - i)
+    ]
+
+
+def test_atom_count_matches_enumeration():
+    for k in range(4):
+        for t in _types_with_arrows(k):
+            try:
+                want = len(enum_atoms(t))
+            except AnalysisInfeasible as e:
+                with pytest.raises(AnalysisInfeasible) as got:
+                    atom_count(t)
+                assert str(got.value) == str(e)
+            else:
+                assert atom_count(t) == want
+
+
+def test_barred_scheme_is_refused_before_enumeration(separating):
+    barred = bar_scheme(separating)
+    wide = arrow(OO, OO, O, O)
+    assert wide in [f.type for f in barred.nonterminals.values()]
+    enum_atoms.cache_clear()
+    with pytest.raises(AnalysisInfeasible, match="no rule"):
+        Analysis(barred)
+    assert enum_atoms.cache_info().misses == 0  # not called on any type
+
+
+LAYOUT_TYPES = [O, OO, arrow(O, O, O), arrow(OO, O), arrow(O, OO), arrow(OO, O, O)]
+
+
+def test_layout_follows_the_canonical_order():
+    for t in LAYOUT_TYPES:
+        lay = layout(t)
+        atoms = enum_atoms(t)
+        assert lay.n == len(atoms)
+        assert [lay.atom(i) for i in range(lay.n)] == list(atoms)
+        assert [lay.index(a) for a in atoms] == list(range(lay.n))
+        assert lay.decode(lay.full) == Conj(atoms)
+        assert lay.decode(lay.arrow_inf) == (conj(ARROW_INF) if isinstance(t, Arrow) else conj())
+    for t in (O, OO):
+        assert [layout(t).decode(m) for m in conj_masks(t)] == list(enum_conj(t))
 
 
 def test_duplicates_collapse_in_conj():
@@ -386,3 +443,62 @@ def test_divergence_states_match_engine_oracle(separating, dropper):
         got_bot, got_inf = _io_oracle(g, t)
         assert got_bot == want_bot, str(t)
         assert got_inf == want_inf, str(t)
+
+
+# ---------------------------------------------------------------------------
+# The mask core against the object route, on drawn inputs
+
+
+@lru_cache(maxsize=None)
+def _analysis(seed):
+    return Analysis(gen_scheme(seed))
+
+
+def _terms(g, target, depth=2):
+    """Terms of the generator grammar over a scheme's symbols, variables
+    included, of type `target`, at most `depth` applications deep."""
+    symbols = [*g.terminals.values(), *g.nonterminals.values(), *g.variables.values()]
+    cands = _candidates(symbols, target)
+    if depth <= 0:
+        cands = [cd for cd in cands if cd[1] == 0] or [min(cands, key=lambda cd: cd[1])]
+
+    def build(cd):
+        sym, j = cd
+        arg_types = argument_types(sym.type)[:j]
+        parts = [_terms(g, ty, depth - 1) for ty in arg_types]
+        return st.tuples(*parts).map(lambda args: Term(sym, args))
+
+    return st.sampled_from(cands).flatmap(build)
+
+
+SAFE_SEEDS = [s for s in range(1, 41) if _analysis_safe(gen_scheme(s))]
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_mask_semantics_matches_judge(data):
+    """Terms of type o and o -> o, with free variables bound to drawn
+    conjunctions, against the goal-directed search."""
+    seed = data.draw(st.sampled_from(SAFE_SEEDS))
+    g, an = gen_scheme(seed), _analysis(seed)
+    t = data.draw(_terms(g, data.draw(st.sampled_from([O, OO]))))
+    venv = {}
+    for sym in g.variables.values():
+        lay = layout(sym.type)
+        venv[sym.name] = lay.decode(data.draw(st.integers(0, lay.full)))
+    derivable = {th for th in enum_atoms(t.type) if judge(an.env.extended(venv), t, th)}
+    assert an.semantics(t, venv) == Conj(derivable), str(t)
+
+
+APPLY_TYPES = [OO, arrow(O, O, O), arrow(OO, O), arrow(OO, O, O)]
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_tabulated_application_matches_sem_apply(data):
+    t = data.draw(st.sampled_from(APPLY_TYPES))
+    lay = layout(t)
+    fun = data.draw(st.integers(0, lay.full))
+    arg = data.draw(st.integers(0, lay.argument.full))
+    want = sem_apply(lay.decode(fun), lay.argument.decode(arg), t.result)
+    assert lay.result.decode(lay.results(fun)[arg]) == want
