@@ -1,99 +1,42 @@
-"""Higher-order recursion schemes: evaluation policies and transformations."""
+"""Higher-order recursion schemes: evaluation policies and transformations.
+
+This package exports the documented library surface, with the types and
+errors it takes, returns or raises.  Everything else is imported from the
+submodules: `hors.core`, `hors.scheme`, `hors.engine`, `hors.oi2io`,
+`hors.typesys` and `hors.io2oi`.
+"""
 
 from .core import (
     ArityOrTypeMismatch,
-    Arrow,
-    BOT,
-    GROUND,
-    Ground,
     HorsError,
     IncompatibleLabels,
     InvalidPosition,
     PartialTree,
-    Position,
-    SimpleType,
     Symbol,
     Term,
-    arity,
-    arrow,
-    bottom_transform,
-    instantiate,
-    nonterminal,
-    order,
-    positions,
-    replace_at,
-    substitute,
-    subterm_at,
-    terminal,
-    term_to_str,
-    tree_leq,
-    tree_lub,
-    tree_to_str,
-    truncate,
-    type_of,
-    type_to_str,
-    variable,
 )
 from .engine import (
-    DerivationTrace,
     EvalBudget,
     NotARedex,
     PolicyViolation,
-    RedexInfo,
-    ValueTreeResult,
     derive,
     redexes,
     step,
     value_tree,
     value_tree_report,
 )
-from .io2oi import (
-    CorrectionReport,
-    LabeledScheme,
-    Labeling,
-    NotLabeled,
-    correct_scheme,
-    label_scheme,
-    nbvar,
-    plus_type,
-    self_correct,
-    self_correct_report,
-    sigma_tuples,
-)
-from .oi2io import BarContext, bar_scheme, bar_term, bar_type, make_bar_context
+from .io2oi import label_scheme, self_correct_report
+from .oi2io import bar_scheme
 from .scheme import (
     InvalidScheme,
-    Rule,
     Scheme,
     SchemeParseError,
-    fresh_name,
     parse,
-    prune_unreachable,
-    reachable_nonterminals,
     render,
     scheme_order,
     validate,
     with_start,
 )
-from .typesys import (
-    Analysis,
-    AnalysisInfeasible,
-    ArrowMap,
-    Atom,
-    Conj,
-    Env,
-    Q_BOT,
-    Q_INF,
-    UnboundSymbol,
-    conj,
-    enum_atoms,
-    enum_conj,
-    initial_env,
-    judge,
-    sem_apply,
-    semantics,
-    step_F,
-    theta_star,
-)
+from .typesys import Analysis, AnalysisInfeasible, UnboundSymbol, judge, sem_apply
 
 __version__ = "0.1.0"

@@ -12,13 +12,13 @@ from .engine import (
     derive,
     value_tree_report,
 )
-from .io2oi import label_scheme, self_correct_report
+from .io2oi import label_scheme  # noqa: F401  (kept importable: perfbench traces hors.cli.label_scheme)
+from .io2oi import self_correct_report
 from .oi2io import bar_scheme
 from .scheme import (
     InvalidScheme,
     Scheme,
     parse,
-    prune_unreachable,
     render,
     scheme_order,
     validate,
@@ -204,10 +204,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if args.to == "io":
         _write_out(render(bar_scheme(g)), args.out)
         return 0
-    labeled = label_scheme(g)
-    corrected, report = self_correct_report(labeled)
-    if args.prune:
-        corrected = prune_unreachable(corrected)
+    corrected, report = self_correct_report(g)
     _write_out(render(corrected), args.out)
     print(
         f"rules: {report.base_rules} before, {len(corrected.rules)} after "
@@ -219,9 +216,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if report.voided_rules:
         print("voided: " + " ".join(report.voided_rules), file=sys.stderr)
     if report.unreachable:
-        kept = "pruned" if args.prune else "kept"
         print(
-            f"unreachable annotated copies: {len(report.unreachable)} ({kept})",
+            f"unreachable annotated copies: {len(report.unreachable)} (pruned)",
             file=sys.stderr,
         )
     return 0
@@ -269,11 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--out")
     p.add_argument("--to", choices=("io", "oi"), required=True)
-    p.add_argument(
-        "--prune",
-        action="store_true",
-        help="drop annotated non-terminals unreachable from the start",
-    )
     p.set_defaults(func=cmd_transform)
 
     return parser

@@ -405,15 +405,25 @@ BOT = PartialTree(None)
 
 def tree_to_str(t: PartialTree) -> str:
     """Compact applicative rendering, `⊥` for bottom."""
-    if t.label is None:
-        return "⊥"
-    if not t.children:
-        return t.label.name
-    parts = [t.label.name]
-    for child in t.children:
-        s = tree_to_str(child)
-        parts.append(f"({s})" if child.children else s)
-    return " ".join(parts)
+    out: list[str] = []
+    stack: list[object] = [(t, False)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parens = item  # type: ignore[misc]
+        if node.label is None:
+            out.append("⊥")
+            continue
+        if parens:
+            out.append("(")
+            stack.append(")")
+        out.append(node.label.name)
+        for child in reversed(node.children):
+            stack.append((child, bool(child.children)))
+            stack.append(" ")
+    return "".join(out)
 
 
 def bottom_transform(t: Term) -> PartialTree:
@@ -471,32 +481,58 @@ def tree_lub(trees: Sequence[PartialTree]) -> PartialTree:
         raise ValueError("tree_lub of no trees")
     result = trees[0]
     for other in trees[1:]:
-        result = _merge(result, other, ())
+        result = _merge(result, other)
     return result
 
 
-def _merge(a: PartialTree, b: PartialTree, path: tuple[int, ...]) -> PartialTree:
-    if a.label is None:
-        return b
-    if b.label is None:
-        return a
-    if a.label != b.label:
-        raise IncompatibleLabels(
-            f"labels {a.label.name} and {b.label.name} disagree at path "
-            f"{'.'.join(map(str, path)) or 'root'}",
-            path=path,
-        )
-    children = tuple(
-        _merge(x, y, path + (i + 1,))
-        for i, (x, y) in enumerate(zip(a.children, b.children))
-    )
-    return PartialTree(a.label, children)
+def _merge(a: PartialTree, b: PartialTree) -> PartialTree:
+    done: list[PartialTree] = []  # merged subtrees, children before parents
+    path: list[int] = []  # the position of the pair being visited
+    # (x, y, depth, child index); index -1 rebuilds x from merged children.
+    stack: list[tuple] = [(a, b, 0, 0)]
+    while stack:
+        x, y, depth, i = stack.pop()
+        if i < 0:
+            n = len(x.children)
+            children = tuple(done[len(done) - n :])
+            del done[len(done) - n :]
+            done.append(PartialTree(x.label, children))
+            continue
+        del path[max(depth - 1, 0) :]
+        if depth:
+            path.append(i)
+        if x.label is None:
+            done.append(y)
+        elif y.label is None:
+            done.append(x)
+        elif x.label != y.label:
+            raise IncompatibleLabels(
+                f"labels {x.label.name} and {y.label.name} disagree at path "
+                f"{'.'.join(map(str, path)) or 'root'}",
+                path=tuple(path),
+            )
+        else:
+            stack.append((x, None, depth, -1))
+            for j in range(len(x.children), 0, -1):
+                stack.append((x.children[j - 1], y.children[j - 1], depth + 1, j))
+    return done[0]
 
 
 def truncate(t: PartialTree, depth: int) -> PartialTree:
     """Keep `depth` levels of nodes; everything below becomes bottom."""
-    if depth <= 0:
-        return BOT
-    if t.label is None:
-        return BOT
-    return PartialTree(t.label, tuple(truncate(c, depth - 1) for c in t.children))
+    done: list[PartialTree] = []  # truncated subtrees, children before parents
+    # (node, levels left); levels -1 rebuilds the node from truncated children.
+    stack: list[tuple[PartialTree, int]] = [(t, max(depth, 0))]
+    while stack:
+        node, d = stack.pop()
+        if d < 0:
+            n = len(node.children)
+            children = tuple(done[len(done) - n :])
+            del done[len(done) - n :]
+            done.append(PartialTree(node.label, children))
+        elif d == 0 or node.label is None:
+            done.append(BOT)
+        else:
+            stack.append((node, -1))
+            stack.extend((c, d - 1) for c in reversed(node.children))
+    return done[0]

@@ -4,17 +4,23 @@ Every non-terminal and variable is split into one copy per tuple of
 argument-semantics annotations, and every application is rewritten so the
 head learns the analysis result of its argument while the argument is
 duplicated once per possible annotation of its own future arguments.  The
-labeled scheme behaves exactly like the source under IO.  The self-correcting
-step then redirects every rule whose annotated head is judged bottom-producing
-to a fresh `Void` non-terminal (with rule `Void -> Void`), after which even
-unrestricted derivations compute the IO value tree.  The order of the scheme
-is preserved; its size is not.
+labeled scheme G' (`label_scheme`) behaves exactly like the source under IO.
+The self-correcting step then redirects every rule whose annotated head is
+judged bottom-producing to a fresh `Void` non-terminal (with rule
+`Void -> Void`), after which even unrestricted derivations compute the IO
+value tree.  The order of G' is that of the source; its size is not.
+
+Only the copies reachable from the start can affect the value tree, and
+most copies are not, so `self_correct_report` builds the corrected G'' on
+demand: a worklist from the start symbol's copy judges and emits each copy it
+reaches, and never builds or judges the others.  The annotated symbol tables
+(`Labeling`) stay eager, so names are those of the full construction.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
@@ -23,14 +29,19 @@ from .core import (
     TERMINAL,
     VARIABLE,
     Arrow,
-    HorsError,
     SimpleType,
     Symbol,
     Term,
     argument_types,
     type_to_str,
 )
-from .scheme import Rule, Scheme, fresh_name, reachable_nonterminals
+from .scheme import (
+    Rule,
+    Scheme,
+    _heads,
+    fresh_name,
+    reachable_nonterminals,  # noqa: F401  (kept importable: perfbench traces hors.io2oi.reachable_nonterminals)
+)
 from .typesys import (
     Analysis,
     Conj,
@@ -95,7 +106,6 @@ class Labeling:
     """Annotated symbol tables for one scheme plus its analysis."""
 
     def __init__(self, g: Scheme, analysis: Analysis | None = None):
-        self.base = g
         self.analysis = analysis if analysis is not None else Analysis(g)
         taken = set(g.terminals)
         self.nt_ann: dict[tuple[str, tuple[int, ...]], Symbol] = {}
@@ -139,54 +149,38 @@ class Labeling:
             self.plus_term(a, venv, tup) for a in t.args for tup in mask_tuples(a.type)
         ))
 
+    def params(self, base_rule: Rule) -> tuple[Symbol, ...]:
+        """The parameters of every copy of a rule: each base parameter once
+        per annotation tuple of its type."""
+        return tuple(
+            self.var_ann[(p.name, tup)] for p in base_rule.params for tup in mask_tuples(p.type)
+        )
 
-@dataclass(eq=False)
-class LabeledScheme(Scheme):
-    """The labeled scheme, carrying the analysis that produced it."""
-
-    labeling: Labeling = field(default=None)  # type: ignore[assignment]
-
-    @property
-    def base(self) -> Scheme:
-        return self.labeling.base
-
-    @property
-    def analysis(self) -> Analysis:
-        return self.labeling.analysis
+    def rule(self, base_rule: Rule, annotation: tuple[int, ...]) -> Rule:
+        """The labeled rule of the copy of a base rule for one annotation."""
+        annotated = self.nt_ann[(base_rule.lhs.name, annotation)]
+        venv = {p.name: m for p, m in zip(base_rule.params, annotation)}
+        return Rule(annotated, self.params(base_rule), self.plus_term(base_rule.body, venv, ()))
 
 
-def label_scheme(g: Scheme, analysis: Analysis | None = None) -> LabeledScheme:
-    """Annotate and duplicate: one rule per non-terminal and annotation tuple."""
+def label_scheme(g: Scheme, analysis: Analysis | None = None) -> Scheme:
+    """The labeled scheme G': one rule per non-terminal and annotation tuple.
+
+    It behaves like the source under IO.  It is built eagerly, every copy
+    whether reachable or not; `self_correct_report` builds only the live ones.
+    """
     lab = Labeling(g, analysis)
-
-    variables = {s.name: s for s in lab.var_ann.values()}
-    nonterminals: dict[str, Symbol] = {}
     rules: dict[str, Rule] = {}
-
-    for f in g.nonterminals.values():
-        base_rule = g.rules.get(f.name)
-        param_types = argument_types(f.type)
-        for tup in mask_tuples(f.type):
-            annotated = lab.nt_ann[(f.name, tup)]
-            nonterminals[annotated.name] = annotated
-            if base_rule is None:
-                continue
-            params: list[Symbol] = []
-            for p, ty in zip(base_rule.params, param_types):
-                for ptup in mask_tuples(ty):
-                    params.append(lab.var_ann[(p.name, ptup)])
-            venv = {p.name: s for p, s in zip(base_rule.params, tup)}
-            body = lab.plus_term(base_rule.body, venv, ())
-            rules[annotated.name] = Rule(annotated, tuple(params), body)
-
-    start = lab.nt_ann[(g.start.name, ())]
-    return LabeledScheme(
+    for base_rule in g.rules.values():
+        for tup in mask_tuples(base_rule.lhs.type):
+            rule = lab.rule(base_rule, tup)
+            rules[rule.lhs.name] = rule
+    return Scheme(
         terminals=dict(g.terminals),
-        nonterminals=nonterminals,
-        variables=variables,
+        nonterminals={s.name: s for s in lab.nt_ann.values()},
+        variables={s.name: s for s in lab.var_ann.values()},
         rules=rules,
-        start=start,
-        labeling=lab,
+        start=lab.nt_ann[(g.start.name, ())],
     )
 
 
@@ -195,41 +189,31 @@ class CorrectionReport:
     """Size accounting for the labeling/correction pipeline."""
 
     base_rules: int
-    labeled_rules: int
-    voided_rules: tuple[str, ...]
+    labeled_rules: int  # rules of the full labeling G'
+    voided_rules: tuple[str, ...]  # emitted rules redirected to Void
     nbvar_table: tuple[tuple[str, int], ...]  # rendered type -> width
-    unreachable: tuple[str, ...]  # dead annotated copies, prunable
+    unreachable: tuple[str, ...]  # annotated copies (and Void) not emitted
 
     @property
     def voided_count(self) -> int:
         return len(self.voided_rules)
 
 
-def self_correct(gprime: LabeledScheme) -> Scheme:
-    """Redirect every bottom-producing annotated rule to Void."""
-    corrected, _ = self_correct_report(gprime)
-    return corrected
+def self_correct_report(
+    g: Scheme, analysis: Analysis | None = None
+) -> tuple[Scheme, CorrectionReport]:
+    """The self-corrected scheme G'' of a source scheme, live part only.
 
-
-class NotLabeled(HorsError):
-    """self_correct needs the scheme produced by label_scheme."""
-
-
-def self_correct_report(gprime: LabeledScheme) -> tuple[Scheme, CorrectionReport]:
-    lab = getattr(gprime, "labeling", None)
-    if lab is None:
-        raise NotLabeled(
-            "self_correct needs the labeled scheme produced by label_scheme"
-        )
+    A worklist starts from the start symbol's copy.  Each annotated copy it
+    reaches rewrites to `Void` when the analysis judges its annotated head
+    bottom-producing, and to its labeled body otherwise; the annotated
+    non-terminals of that body are reached in turn.  The result is the
+    reachable part of the fully labeled and corrected scheme.  The symbol
+    tables stay eager, so names and variable declarations are those of G'.
+    """
+    lab = Labeling(g, analysis)
     analysis = lab.analysis
-
-    taken = gprime.all_names()
-    void = Symbol(fresh_name("Void", taken), NONTERMINAL, GROUND)
-
-    nonterminals = dict(gprime.nonterminals)
-    nonterminals[void.name] = void
-    rules: dict[str, Rule] = {}
-    voided: list[str] = []
+    void = Symbol(fresh_name("Void", set(g.terminals) | set(lab.ann_of)), NONTERMINAL, GROUND)
 
     # Annotation tuples share prefixes, so partial applications are cached:
     # (base name, annotation prefix) -> (mask, layout of the type left).
@@ -247,39 +231,51 @@ def self_correct_report(gprime: LabeledScheme) -> tuple[Scheme, CorrectionReport
             partial[key] = hit
         return hit
 
-    for name, rule in gprime.rules.items():
-        info = lab.ann_of[name]
+    start = lab.nt_ann[(g.start.name, ())]
+    reached = {start.name}
+    work = [start]
+    built: dict[str, Rule] = {}
+    voided: set[str] = set()
+    while work:
+        annotated = work.pop()
+        if annotated is void:
+            built[void.name] = Rule(void, (), Term(void))
+            continue
+        info = lab.ann_of[annotated.name]
+        base_rule = g.rules.get(info.base.name)
+        if base_rule is None:
+            continue
         sem, lay = applied(info.base, info.annotation)
         if lay.has_bot(sem):
-            rules[name] = Rule(rule.lhs, rule.params, Term(void))
-            voided.append(name)
+            rule = Rule(annotated, lab.params(base_rule), Term(void))
+            voided.add(annotated.name)
         else:
-            rules[name] = rule
-    rules[void.name] = Rule(void, (), Term(void))
+            rule = lab.rule(base_rule, info.annotation)
+        built[annotated.name] = rule
+        for head in _heads(rule.body):
+            if head.kind == NONTERMINAL and head.name not in reached:
+                reached.add(head.name)
+                work.append(head)
 
+    copies = [*lab.nt_ann.values(), void]
+    nonterminals = {s.name: s for s in copies if s.name in reached}
     corrected = Scheme(
-        terminals=dict(gprime.terminals),
+        terminals=dict(g.terminals),
         nonterminals=nonterminals,
-        variables=dict(gprime.variables),
-        rules=rules,
-        start=gprime.start,
+        variables={s.name: s for s in lab.var_ann.values()},
+        rules={n: built[n] for n in nonterminals if n in built},
+        start=start,
     )
 
     seen_types: dict[str, int] = {}
-    for f in lab.base.nonterminals.values():
+    for f in g.nonterminals.values():
         for ty in argument_types(f.type):
             seen_types.setdefault(type_to_str(ty), nbvar(ty))
-    live = reachable_nonterminals(corrected)
     report = CorrectionReport(
-        base_rules=len(lab.base.rules),
-        labeled_rules=len(gprime.rules),
-        voided_rules=tuple(voided),
+        base_rules=len(g.rules),
+        labeled_rules=sum(nbvar(r.lhs.type) for r in g.rules.values()),
+        voided_rules=tuple(n for n in nonterminals if n in voided),
         nbvar_table=tuple(sorted(seen_types.items())),
-        unreachable=tuple(n for n in corrected.nonterminals if n not in live),
+        unreachable=tuple(s.name for s in copies if s.name not in reached),
     )
     return corrected, report
-
-
-def correct_scheme(g: Scheme, analysis: Analysis | None = None) -> Scheme:
-    """Label then self-correct in one step."""
-    return self_correct(label_scheme(g, analysis))

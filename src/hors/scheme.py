@@ -8,6 +8,7 @@ OI-to-IO transformation relies on exactly one such token.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import (
@@ -213,18 +214,6 @@ def reachable_nonterminals(g: Scheme) -> set[str]:
     return seen
 
 
-def prune_unreachable(g: Scheme) -> Scheme:
-    """Drop non-terminals (and their rules) the start symbol can never use."""
-    keep = reachable_nonterminals(g)
-    return Scheme(
-        dict(g.terminals),
-        {n: s for n, s in g.nonterminals.items() if n in keep},
-        dict(g.variables),
-        {n: r for n, r in g.rules.items() if n in keep},
-        g.start,
-    )
-
-
 def with_start(g: Scheme, t: Term) -> Scheme:
     """Redirect derivations to start with `t` via a fresh start non-terminal."""
     if t.type != GROUND:
@@ -260,24 +249,8 @@ def with_start(g: Scheme, t: Term) -> Scheme:
 _RESERVED = {"terminal", "nonterminal", "var", "start", "rule", ":", "=", "->", "(", ")"}
 
 
-def _tokenize(text: str, line_no: int) -> list[str]:
-    out: list[str] = []
-    cur = ""
-    for ch in text:
-        if ch in "()":
-            if cur:
-                out.append(cur)
-                cur = ""
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append(cur)
-                cur = ""
-        else:
-            cur += ch
-    if cur:
-        out.append(cur)
-    return out
+# `\s` matches exactly the characters for which `str.isspace()` is true.
+_tokenize = re.compile(r"[()]|[^\s()]+").findall
 
 
 class _TypeParser:
@@ -376,7 +349,7 @@ def parse(text: str) -> Scheme:
         stripped = raw.strip()
         if not stripped or stripped.startswith("//"):
             continue
-        tokens = _tokenize(stripped, line_no)
+        tokens = _tokenize(stripped)
         head = tokens[0]
         if head in ("terminal", "nonterminal", "var"):
             if len(tokens) < 4 or tokens[2] != ":":

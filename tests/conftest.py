@@ -11,26 +11,30 @@ import pytest
 from hypothesis import settings
 
 from hors import (
-    GROUND,
-    Arrow,
-    DerivationTrace,
     EvalBudget,
-    RedexInfo,
-    Rule,
     Scheme,
     Symbol,
     Term,
-    arrow,
-    bottom_transform,
     derive,
-    nonterminal,
     parse,
     step,
+)
+from hors.core import (
+    Arrow,
+    GROUND,
+    NONTERMINAL,
+    arity,
+    arrow,
+    bottom_transform,
+    nonterminal,
     terminal,
     truncate,
     variable,
 )
-from hors.core import NONTERMINAL, arity
+from hors.engine import DerivationTrace, RedexInfo
+from hors.io2oi import Labeling
+from hors.scheme import Rule, fresh_name, reachable_nonterminals
+from hors.typesys import layout
 
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
 
@@ -342,3 +346,46 @@ def reference_derive(g: Scheme, t0: Term, policy: str, budget: EvalBudget) -> De
         steps.append((term, chosen, after))
         term = after
     return DerivationTrace(steps, exhausted)
+
+
+def reference_self_correct(gprime: Scheme, lab: Labeling) -> tuple[Scheme, tuple[str, ...]]:
+    """The eager correction of a labeled scheme G' (`label_scheme` with the
+    analysis of `lab`): every rule whose annotated head is judged
+    bottom-producing rewrites to a fresh `Void`, reachable or not.  Returns
+    G'' and the voided names.  `self_correct_report` must agree with it on
+    the part reachable from the start."""
+    analysis = lab.analysis
+    void = Symbol(fresh_name("Void", gprime.all_names()), NONTERMINAL, GROUND)
+    rules: dict[str, Rule] = {}
+    voided: list[str] = []
+    for name, rule in gprime.rules.items():
+        info = lab.ann_of[name]
+        sem, lay = analysis.semantics_mask(Term(info.base)), layout(info.base.type)
+        for arg in info.annotation:
+            sem, lay = analysis.apply(lay, sem, arg), lay.result
+        if lay.has_bot(sem):
+            rules[name] = Rule(rule.lhs, rule.params, Term(void))
+            voided.append(name)
+        else:
+            rules[name] = rule
+    rules[void.name] = Rule(void, (), Term(void))
+    corrected = Scheme(
+        terminals=dict(gprime.terminals),
+        nonterminals={**gprime.nonterminals, void.name: void},
+        variables=dict(gprime.variables),
+        rules=rules,
+        start=gprime.start,
+    )
+    return corrected, tuple(voided)
+
+
+def reference_prune(g: Scheme) -> Scheme:
+    """Drop the non-terminals, and their rules, the start never reaches."""
+    keep = reachable_nonterminals(g)
+    return Scheme(
+        dict(g.terminals),
+        {n: s for n, s in g.nonterminals.items() if n in keep},
+        dict(g.variables),
+        {n: r for n, r in g.rules.items() if n in keep},
+        g.start,
+    )

@@ -260,13 +260,12 @@ def test_out_writes_file(tmp_path, capsys):
     assert target.read_text() == "c\n"
 
 
-def test_transform_prune_flag(tmp_path, capsys):
-    target = tmp_path / "pruned.hors"
-    code, out, err = run(
-        capsys, "transform", DROPPER, "--to", "oi", "--prune", "--out", str(target)
-    )
+def test_transform_oi_emits_only_live_copies(tmp_path, capsys):
+    target = tmp_path / "live.hors"
+    code, out, err = run(capsys, "transform", DROPPER, "--to", "oi", "--out", str(target))
     assert code == 0
-    assert "unreachable annotated copies" in err
+    assert "unreachable annotated copies: 5 (pruned)" in err
+    assert err.startswith("rules: 3 before, 2 after (1 redirected to Void)\n")
     code, out, err = run(capsys, "check", str(target))
     assert code == 0
     # voiding S makes every other copy dead: only S and Void survive
@@ -282,3 +281,18 @@ def test_analyze_rejects_barred_schemes(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", str(barred))
     assert code == 1
     assert "no rule" in err
+
+
+def test_benchmark_tracer_targets_resolve():
+    """perfbench/tracing.py wraps program functions by module and name; a
+    name it cannot find fails every traced benchmark run at install."""
+    import importlib
+    import importlib.util
+
+    path = SCHEMES_DIR.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for mod, attr, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(mod), attr)), (mod, attr)

@@ -5,14 +5,16 @@ import random
 import pytest
 
 from hors import (
-    BOT,
-    GROUND,
-    Arrow,
     ArityOrTypeMismatch,
     IncompatibleLabels,
     InvalidPosition,
     PartialTree,
     Term,
+)
+from hors.core import (
+    Arrow,
+    BOT,
+    GROUND,
     arity,
     arrow,
     bottom_transform,
@@ -22,10 +24,11 @@ from hors import (
     replace_at,
     substitute,
     subterm_at,
-    terminal,
     term_to_str,
+    terminal,
     tree_leq,
     tree_lub,
+    tree_to_str,
     truncate,
     type_of,
     type_to_str,
@@ -316,6 +319,16 @@ B2 = terminal("b2", arrow(O, O, O))
 A3 = terminal("a3", arrow(O, O, O, O))
 C0 = terminal("c0", O)
 BP = terminal("b'", O)
+A1 = terminal("a1", OO)
+DEEP = 3000  # deeper than the recursion limit
+
+
+def _chain(depth, leaf=BOT):
+    """The unary tree a1 (a1 (... leaf)) with `depth` a1 nodes."""
+    t = leaf
+    for _ in range(depth):
+        t = _tree(A1, t)
+    return t
 
 
 def _random_tree(rng, depth):
@@ -359,6 +372,15 @@ def test_tree_lub_examples():
     with pytest.raises(IncompatibleLabels) as err:
         tree_lub([_tree(C0), _tree(BP)])
     assert err.value.path == ()
+    with pytest.raises(IncompatibleLabels) as err:
+        tree_lub([left, _tree(A3, BOT, _tree(BP), BOT)])
+    assert err.value.path == (2,)
+    assert "at path 2" in str(err.value)
+    deep = _chain(DEEP, _tree(C0))
+    assert tree_to_str(tree_lub([_chain(DEEP), deep, _chain(DEEP // 2)])) == tree_to_str(deep)
+    with pytest.raises(IncompatibleLabels) as err:
+        tree_lub([deep, _chain(DEEP, _tree(BP))])
+    assert err.value.path == (1,) * DEEP
 
 
 def test_tree_lub_is_least_upper_bound():
@@ -387,3 +409,15 @@ def test_truncate_inserts_bottom():
     assert truncate(deep, 2) == _tree(B2, _tree(B2, BOT, BOT), _tree(C0))
     assert truncate(deep, 5) == deep
     assert truncate(deep, 0) == BOT
+    assert truncate(deep, -1) == BOT
+    chain = _chain(DEEP, _tree(C0))
+    assert tree_to_str(truncate(chain, DEEP // 2)) == tree_to_str(_chain(DEEP // 2))
+    assert tree_to_str(truncate(chain, DEEP + 1)) == tree_to_str(chain)
+
+
+def test_tree_to_str_examples():
+    assert str(BOT) == "⊥"
+    assert str(_tree(C0)) == "c0"
+    assert str(_tree(A3, _tree(B2, BOT, _tree(C0)), _tree(C0), BOT)) == "a3 (b2 ⊥ c0) c0 ⊥"
+    assert str(_chain(2)) == "a1 (a1 ⊥)"
+    assert str(_chain(DEEP)) == "a1 (" * (DEEP - 1) + "a1 ⊥" + ")" * (DEEP - 1)

@@ -5,28 +5,29 @@ import random
 import pytest
 
 from hors import (
-    BOT,
-    GROUND,
     EvalBudget,
     NotARedex,
     PartialTree,
     PolicyViolation,
-    RedexInfo,
     Term,
-    bottom_transform,
     derive,
     parse,
     redexes,
     step,
-    term_to_str,
-    tree_leq,
     value_tree,
     value_tree_report,
     with_start,
 )
-
-from hors.core import NONTERMINAL, arity
-from hors.engine import _Evaluator
+from hors.core import (
+    BOT,
+    GROUND,
+    NONTERMINAL,
+    arity,
+    bottom_transform,
+    term_to_str,
+    tree_leq,
+)
+from hors.engine import RedexInfo, _Evaluator
 
 from conftest import gen_scheme, naive_value_tree, reference_derive, reference_redexes
 

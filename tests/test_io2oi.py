@@ -2,32 +2,25 @@
 
 import itertools
 
-import pytest
-
 from hors import (
-    BOT,
-    GROUND,
     Analysis,
+    AnalysisInfeasible,
     EvalBudget,
     Term,
-    arrow,
     derive,
-    enum_conj,
     label_scheme,
-    nbvar,
     parse,
-    plus_type,
+    render,
     scheme_order,
-    self_correct,
     self_correct_report,
-    sigma_tuples,
-    term_to_str,
     validate,
     value_tree,
 )
-from hors.io2oi import mask_tuples
+from hors.core import BOT, GROUND, arrow, term_to_str
+from hors.io2oi import Labeling, mask_tuples, nbvar, plus_type, sigma_tuples
+from hors.typesys import enum_conj
 
-from conftest import applier_scheme, twice_scheme
+from conftest import applier_scheme, reference_prune, reference_self_correct, twice_scheme
 
 O = GROUND
 OO = arrow(O, O)
@@ -58,7 +51,7 @@ def test_plus_type_examples():
 
 def test_plus_type_preserves_order():
     for t in (O, OO, arrow(O, O, O), arrow(OO, O), arrow(OO, O, O)):
-        from hors import order
+        from hors.core import order
 
         assert order(plus_type(t)) == order(t)
 
@@ -66,8 +59,7 @@ def test_plus_type_preserves_order():
 def test_plus_term_duplicates_higher_order_argument():
     g = applier_scheme()
     an = Analysis(g)
-    gp = label_scheme(g, an)
-    lab = gp.labeling
+    lab = Labeling(g, an)
     f, h = g.symbol("F"), g.symbol("H")
     fh = Term(f, (Term(h),))
     plus = lab.plus_term(fh, {}, ())
@@ -84,8 +76,7 @@ def test_plus_term_duplicates_higher_order_argument():
 
 def test_plus_term_keeps_terminals_and_ground_symbols():
     g = applier_scheme()
-    gp = label_scheme(g)
-    lab = gp.labeling
+    lab = Labeling(g)
     a, c, s = g.symbol("a"), g.symbol("c"), g.symbol("S")
     t = Term(a, (Term(c),))
     plus = lab.plus_term(t, {}, ())
@@ -108,10 +99,11 @@ def test_label_scheme_mini_golden(dropper):
 
 
 def test_self_correct_mini_golden(dropper):
-    gp = label_scheme(dropper)
-    gpp, report = self_correct_report(gp)
+    an = Analysis(dropper)
+    gp = label_scheme(dropper, an)
+    gpp, voided = reference_self_correct(gp, Labeling(dropper, an))
     assert validate(gpp) == []
-    assert set(report.voided_rules) == {"S", "F#2", "F#3"}
+    assert set(voided) == {"S", "F#2", "F#3"}
     assert term_to_str(gpp.rules["F#2"].body) == "Void"
     assert term_to_str(gpp.rules["F#3"].body) == "Void"
     assert term_to_str(gpp.rules["S"].body) == "Void"
@@ -123,19 +115,39 @@ def test_self_correct_mini_golden(dropper):
     void_rules = [r for r in gpp.rules.values() if r.body.head.name == "Void"]
     assert {r.lhs.name for r in void_rules} == {"S", "F#2", "F#3", "Void"}
     assert gpp.rules["Void"].params == ()
+
+    # Voiding S leaves every other copy dead, so only S is judged and emitted.
+    live, report = self_correct_report(dropper, an)
+    assert validate(live) == []
+    assert report.voided_rules == ("S",)
+    assert set(live.rules) == set(live.nonterminals) == {"S", "Void"}
+    assert term_to_str(live.rules["S"].body) == "Void"
+    assert term_to_str(live.rules["Void"].body) == "Void"
+    assert set(report.unreachable) == set(gp.nonterminals) - {"S"}
     assert report.base_rules == 3
     assert report.labeled_rules == 6
     assert ("o", 1) in report.nbvar_table
 
 
-def test_self_correct_requires_labeling(dropper):
-    from hors.io2oi import NotLabeled
-
-    gp = label_scheme(dropper)
-    plain = parse("terminal c : o\nnonterminal S : o\nstart S\nrule S = c\n")
-    with pytest.raises(NotLabeled):
-        self_correct(plain)  # only labeled schemes carry the analysis
-    assert self_correct(gp) is not None
+def test_self_correct_report_matches_the_eager_reference(corpus, analysis_corpus):
+    """The demand-driven correction is the reachable part of the eager one,
+    byte for byte, and leaves out exactly its unreachable copies."""
+    schemes = {id(g): g for g in corpus + analysis_corpus}.values()
+    checked = 0
+    for g in schemes:
+        try:
+            an = Analysis(g)
+        except AnalysisInfeasible:
+            continue
+        gpp, voided = reference_self_correct(label_scheme(g, an), Labeling(g, an))
+        pruned = reference_prune(gpp)
+        live, report = self_correct_report(g, an)
+        assert render(live) == render(pruned)
+        assert report.unreachable == tuple(n for n in gpp.nonterminals if n not in pruned.nonterminals)
+        assert report.voided_rules == tuple(n for n in voided if n in pruned.rules)
+        assert report.labeled_rules == len(gpp.rules) - 1
+        checked += 1
+    assert checked >= 20
 
 
 def _budget(depth=3):
@@ -156,8 +168,9 @@ def test_labeling_preserves_io_from_custom_start_terms(dropper):
     from hors import with_start
 
     g = applier_scheme()
-    gp = label_scheme(g)
-    lab = gp.labeling
+    an = Analysis(g)
+    gp = label_scheme(g, an)
+    lab = Labeling(g, an)
     f, h, c = g.symbol("F"), g.symbol("H"), g.symbol("c")
     for t in (Term(f, (Term(h),)), Term(h, (Term(c),))):
         t_plus = lab.plus_term(t, {}, ())
@@ -168,19 +181,21 @@ def test_labeling_preserves_io_from_custom_start_terms(dropper):
 
 def test_self_correction_aligns_all_policies(separating, dropper):
     for g in (separating, dropper, twice_scheme(), applier_scheme()):
-        gpp = self_correct(label_scheme(g))
+        gpp, _ = self_correct_report(g)
         assert validate(gpp) == []
         io_g = value_tree(g, "io", _budget())
         oi_gpp = value_tree(gpp, "oi", _budget())
         io_gpp = value_tree(gpp, "io", _budget())
         assert oi_gpp == io_g
         assert io_gpp == io_g
-        assert scheme_order(gpp) == scheme_order(g)
+        # The labeling keeps the order; the live part may drop the copies
+        # that carry it.
+        assert scheme_order(gpp) <= scheme_order(g) == scheme_order(label_scheme(g))
 
 
 def test_self_correcting_separating_example(separating):
     # OI evaluation of the corrected scheme now computes bottom, like IO
-    gpp = self_correct(label_scheme(separating))
+    gpp, _ = self_correct_report(separating)
     assert value_tree(separating, "oi", _budget()) != BOT
     assert value_tree(gpp, "oi", _budget()) == BOT
 
@@ -224,8 +239,9 @@ def _base_arity_used(base, t, lab):
 
 def test_base_recoverability_along_traces(dropper):
     g = dropper
-    gp = label_scheme(g)
-    lab = gp.labeling
+    an = Analysis(g)
+    gp = label_scheme(g, an)
+    lab = Labeling(g, an)
     trace_p = derive(gp, gp.start_term(), "io", EvalBudget(12, 10_000, 5))
     trace_g = derive(g, g.start_term(), "io", EvalBudget(12, 10_000, 5))
     reachable = {term_to_str(t) for t in trace_g.terms}
@@ -251,7 +267,7 @@ def test_bottom_positions_propagate_from_io_to_oi(separating, dropper):
         return tree
 
     for g in (separating, dropper, twice_scheme()):
-        gpp = self_correct(label_scheme(g))
+        gpp, _ = self_correct_report(g)
         io_tree = value_tree(gpp, "io", EvalBudget(2_500, 100_000, 3))
         oi_tree = value_tree(gpp, "oi", EvalBudget(5_000, 100_000, 3))
         for path in bots(io_tree):
@@ -260,8 +276,7 @@ def test_bottom_positions_propagate_from_io_to_oi(separating, dropper):
 
 def test_report_counts_blowup():
     g = twice_scheme()
-    gp = label_scheme(g)
-    _, report = self_correct_report(gp)
+    _, report = self_correct_report(g)
     # Twice : (o -> o) -> o -> o contributes 512 * 4 annotated rules
     assert report.labeled_rules == 1 + 512 * 4 + 4
     assert report.base_rules == 3
@@ -269,10 +284,8 @@ def test_report_counts_blowup():
 
 
 def test_labeled_scheme_survives_the_text_format(dropper):
-    from hors import parse, render
-
     gp = label_scheme(dropper)
-    gpp = self_correct(gp)
+    gpp, _ = self_correct_report(dropper)
     for g in (gp, gpp):
         back = parse(render(g))
         assert validate(back) == []

@@ -5,27 +5,27 @@ import random
 import pytest
 
 from hors import (
-    GROUND,
-    Arrow,
     EvalBudget,
     PartialTree,
     Term,
-    arity,
-    arrow,
     bar_scheme,
-    bar_term,
-    bar_type,
     derive,
-    make_bar_context,
-    order,
     parse,
     redexes,
     render,
     scheme_order,
-    term_to_str,
     validate,
     value_tree,
 )
+from hors.core import (
+    Arrow,
+    GROUND,
+    arity,
+    arrow,
+    order,
+    term_to_str,
+)
+from hors.oi2io import bar_term, bar_type, make_bar_context
 
 
 

@@ -1,30 +1,34 @@
 """Scheme validation, the start-term construction and the textual format."""
 
+import sys
+
 import pytest
 
 from hors import (
-    GROUND,
     ArityOrTypeMismatch,
     EvalBudget,
-    BOT,
     InvalidScheme,
-    Rule,
     Scheme,
     SchemeParseError,
     Term,
-    arrow,
-    nonterminal,
     parse,
     render,
     scheme_order,
-    terminal,
     validate,
     value_tree,
-    variable,
     with_start,
 )
+from hors.core import (
+    BOT,
+    GROUND,
+    arrow,
+    nonterminal,
+    terminal,
+    variable,
+)
+from hors.scheme import Rule
 
-from conftest import CORPUS_SEEDS, gen_scheme
+from conftest import CORPUS_SEEDS, SCHEMES_DIR, gen_scheme, reference_prune, twice_scheme
 
 O = GROUND
 OO = arrow(O, O)
@@ -204,15 +208,52 @@ def test_with_start_fresh_name_does_not_capture(separating):
 
 
 def test_reachability_and_pruning(dropper):
-    from hors import label_scheme, prune_unreachable, reachable_nonterminals
+    from hors import label_scheme
+    from hors.scheme import reachable_nonterminals
 
     gp = label_scheme(dropper)
     live = reachable_nonterminals(gp)
     assert {"S", "F#2", "H"} <= live
     assert "F#0" not in live
-    pruned = prune_unreachable(gp)
+    pruned = reference_prune(gp)
     assert validate(pruned) == []
     assert set(pruned.rules) == live
     assert value_tree(pruned, "io", EvalBudget(500, 10_000, 3)) == value_tree(
         gp, "io", EvalBudget(500, 10_000, 3)
     )
+
+
+def _reference_tokenize(text: str) -> list[str]:
+    """The character loop the parser's regex tokenizer replaced."""
+    out: list[str] = []
+    cur = ""
+    for ch in text:
+        if ch in "()":
+            if cur:
+                out.append(cur)
+                cur = ""
+            out.append(ch)
+        elif ch.isspace():
+            if cur:
+                out.append(cur)
+                cur = ""
+        else:
+            cur += ch
+    if cur:
+        out.append(cur)
+    return out
+
+
+def test_tokenizer_matches_the_character_loop(separating, dropper):
+    from hors import label_scheme, self_correct_report
+    from hors.scheme import _tokenize
+
+    texts = [path.read_text(encoding="utf-8") for path in sorted(SCHEMES_DIR.glob("*.hors"))]
+    for g in (separating, dropper, twice_scheme()):
+        texts += [render(label_scheme(g)), render(self_correct_report(g)[0])]
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"} <= set(spaces)
+    texts.append("".join(f"F{i}{ch}(x{ch}y){ch}z#{i}'){ch}" for i, ch in enumerate(spaces)))
+    for text in texts:
+        for line in [text, *text.splitlines()]:
+            assert _tokenize(line) == _reference_tokenize(line)

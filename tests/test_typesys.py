@@ -8,39 +8,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hors import (
-    BOT,
-    GROUND,
     Analysis,
     AnalysisInfeasible,
-    Arrow,
-    ArrowMap,
-    Conj,
-    Env,
     EvalBudget,
-    Q_BOT,
-    Q_INF,
     Term,
     UnboundSymbol,
-    arrow,
     bar_scheme,
-    conj,
     derive,
-    enum_atoms,
-    enum_conj,
-    initial_env,
     judge,
     parse,
     sem_apply,
-    semantics,
-    step_F,
-    terminal,
-    theta_star,
     value_tree_report,
-    variable,
     with_start,
 )
-from hors.core import argument_types
-from hors.typesys import atom_count, conj_masks, layout
+from hors.core import Arrow, BOT, GROUND, argument_types, arrow, terminal, variable
+from hors.typesys import (
+    ArrowMap,
+    Conj,
+    Env,
+    Q_BOT,
+    Q_INF,
+    atom_count,
+    conj,
+    conj_masks,
+    enum_atoms,
+    enum_conj,
+    initial_env,
+    layout,
+    semantics,
+    step_F,
+    theta_star,
+)
 
 from conftest import _analysis_safe, _candidates, applier_scheme, gen_scheme, twice_scheme
 
