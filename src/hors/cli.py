@@ -142,13 +142,12 @@ def cmd_derive(args: argparse.Namespace) -> int:
     trace = derive(g, g.start_term(), _POLICY[args.policy], _budget(args))
     lines: list[str] = []
     if args.trace:
-        for i, (_, info, _) in enumerate(trace.steps):
+        for i, info in enumerate(trace.chosen):
             lines.append(
                 f"{i} {_position_text(info.position)} {info.nonterminal.name} "
                 f"OI={int(info.is_oi)} IO={int(info.is_io)}"
             )
-    final = trace.steps[-1][2] if trace.steps else g.start_term()
-    lines.append(str(final))
+    lines.append(str(trace.final))
     _write_out("\n".join(lines) + "\n", args.out)
     if trace.exhausted_budget:
         print("warning: budget exhausted; derivation is incomplete", file=sys.stderr)
@@ -284,6 +283,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except HorsError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # Some walkers still recurse along the nesting of a term or a rule
+        # body; an input nested deeper than they reach is a domain error.
+        print(f"error: {args.input}: nested too deeply", file=sys.stderr)
         return 1
 
 

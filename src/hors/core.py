@@ -9,7 +9,7 @@ unbounded depth is written with an explicit stack instead of recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 
@@ -373,11 +373,14 @@ class PartialTree:
     """A finite ranked tree over terminals plus bottom leaves.
 
     `label` is None for bottom.  Non-bottom nodes carry exactly arity(label)
-    children, so every value is a well-formed tree prefix.
+    children, so every value is a well-formed tree prefix.  As for `Term`,
+    the hash is computed once at construction and equality is iterative:
+    prefixes can be deeper than the recursion limit.
     """
 
     label: Symbol | None
     children: tuple["PartialTree", ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.label is None:
@@ -392,6 +395,27 @@ class PartialTree:
                     f"node {self.label.name} has {len(self.children)} children, "
                     f"expected {want}"
                 )
+        # The children's hashes are cached already, so this does not recurse.
+        name = None if self.label is None else self.label.name
+        object.__setattr__(self, "_hash", hash((name, self.children)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, PartialTree):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     def is_bottom(self) -> bool:
         return self.label is None

@@ -1,19 +1,24 @@
 """Rewriting, derivation strategies and truncated value trees.
 
-`redexes`/`step`/`derive` work on immutable terms and produce inspectable
-traces; `derive` keeps the current term's redexes in document order and
-reclassifies only the rewritten subterm after each step.  `value_tree` runs
-the fair schedulers on a private mutable representation: each node knows
-whether its subtree holds a redex, so sweeps skip settled regions, a redex
-is innermost when none of its children holds one, and a rewrite updates the
-flags above it only as far as they flip.  Subtrees that can never reach the
-requested output depth are left unexpanded.
+`redexes`/`step` work on immutable terms.  `derive` rewrites one private
+mutable copy of its start term in place and keeps the redexes of the
+current term in a tree, each pointing at its node: a step walks the rule
+body and moves or copies argument nodes, and the fair sweep under `io`
+takes each round's innermost redexes from the last round's contracta.  The
+trace keeps the chosen redexes and the final term only; the intermediate
+terms are rebuilt with `step` when asked for.  `value_tree` runs the fair
+schedulers on the same mutable representation: each node knows whether its
+subtree holds a redex, so sweeps skip settled regions, a redex is innermost
+when none of its children holds one, and a rewrite updates the flags above
+it only as far as they flip.  Subtrees that can never reach the requested
+output depth are left unexpanded.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import (
@@ -85,20 +90,71 @@ class EvalBudget:
 
 @dataclass
 class DerivationTrace:
-    """Steps of a derivation: (term before, chosen redex, term after)."""
+    """A derivation: its start term, the redex chosen at each step, the
+    final term (the start term when no step was taken) and whether a budget
+    ran out.
 
-    steps: list[tuple[Term, RedexInfo, Term]]
+    No intermediate term is kept.  `steps`, the (term before, chosen redex,
+    term after) triples, and `terms`, the start term and every result, are
+    rebuilt with `step` on first use; `len(trace.steps)` rebuilds nothing.
+    """
+
+    scheme: Scheme
+    start: Term
+    chosen: list[RedexInfo]
+    final: Term
     exhausted_budget: bool
+    _replayed: list[tuple[Term, RedexInfo, Term]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def steps(self) -> "_Steps":
+        return _Steps(self)
 
     @property
     def terms(self) -> list[Term]:
-        if not self.steps:
-            return []
-        return [self.steps[0][0]] + [after for _, _, after in self.steps]
+        steps = self._replay()
+        return [self.start] + [after for _, _, after in steps] if steps else []
 
-    @property
-    def final(self) -> Term | None:
-        return self.steps[-1][2] if self.steps else None
+    def _replay(self) -> list[tuple[Term, RedexInfo, Term]]:
+        if self._replayed is None:
+            out, term = [], self.start
+            for info in self.chosen:
+                after = step(self.scheme, term, info.position)
+                out.append((term, info, after))
+                term = after
+            self._replayed = out
+        return self._replayed
+
+
+class _Steps(Sequence):
+    """`DerivationTrace.steps`: a read-only list whose length is known
+    before any step is replayed."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: DerivationTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.chosen)
+
+    def __getitem__(self, i):
+        return self._trace._replay()[i]
+
+    def __iter__(self):
+        return iter(self._trace._replay())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, tuple, _Steps)):
+            return self._trace._replay() == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._trace._replay())
 
 
 @dataclass(frozen=True)
@@ -119,36 +175,143 @@ def _is_redex_head(g: Scheme, head: Symbol, nargs: int) -> bool:
     return rule is not None and nargs == len(rule.params)
 
 
+# ---------------------------------------------------------------------------
+# Mutable terms, rewritten in place by `derive` and the fast evaluator.
+
+
+class _MNode:
+    """A node of a mutable term.  `redex`: the node can be rewritten; `hot`:
+    it or some node below it can.  The evaluator keeps these flags current;
+    `derive` does not read them."""
+
+    __slots__ = ("sym", "kids", "parent", "redex", "hot", "vis", "stamp")
+
+    def __init__(self, sym: Symbol, kids: list["_MNode"]):
+        self.sym = sym
+        self.kids = kids
+        self.parent: _MNode | None = None
+        self.redex = False
+        self.hot = False
+        self.vis: int | None = None
+        self.stamp = -1
+        for k in kids:
+            k.parent = self
+
+
+def _classify(g: Scheme, m: _MNode) -> None:
+    m.redex = _is_redex_head(g, m.sym, len(m.kids))
+    m.hot = m.redex or any(k.hot for k in m.kids)
+
+
+def _from_term(g: Scheme, t: Term) -> _MNode:
+    """A classified mutable copy of t, one node per position: a subterm
+    that t shares between positions gets a node at each of them."""
+    done: list[_MNode] = []  # built nodes, children before parents
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            cut = len(done) - len(node.args)
+            m = _MNode(node.head, done[cut:])
+            del done[cut:]
+            _classify(g, m)
+            done.append(m)
+            continue
+        stack.append((node, True))
+        for a in reversed(node.args):
+            stack.append((a, False))
+    return done[0]
+
+
+def _deep_copy(node: _MNode) -> tuple[_MNode, dict[int, _MNode]]:
+    """A copy of node's subtree, flags included, and the copy of every
+    node in it by the original's id."""
+    done: dict[int, _MNode] = {}
+    stack: list[tuple[_MNode, bool]] = [(node, False)]
+    while stack:
+        n, expanded = stack.pop()
+        if not expanded:
+            stack.append((n, True))
+            for k in n.kids:
+                stack.append((k, False))
+            continue
+        m = _MNode(n.sym, [done[id(k)] for k in n.kids])
+        m.redex = n.redex
+        m.hot = n.hot
+        m.vis = n.vis
+        done[id(n)] = m
+    return done[id(node)], done
+
+
+def _subtree_size(node: _MNode) -> int:
+    count = 0
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        count += 1
+        stack.extend(n.kids)
+    return count
+
+
+def _to_term(node: _MNode) -> Term:
+    """The immutable term of a mutable one, built bottom-up with an
+    explicit stack."""
+    done: list[Term] = []  # built terms, children before parents
+    stack: list[tuple[_MNode, bool]] = [(node, False)]
+    while stack:
+        n, expanded = stack.pop()
+        if expanded:
+            cut = len(done) - len(n.kids)
+            done[cut:] = [Term(n.sym, done[cut:])]
+            continue
+        stack.append((n, True))
+        for k in reversed(n.kids):
+            stack.append((k, False))
+    return done[0]
+
+
+# ---------------------------------------------------------------------------
+# Redexes and derivations.
+
+
 class _Redex:
-    """A node of the tree of a term's redexes, whose parent is the nearest
-    redex above it, or the root for outermost ones.  `rel` is the position
-    relative to the parent's; `kids` are the redexes directly below, in
-    document order.  So a redex is OI when its parent is the root and IO
-    when it has no kids, and moving a subterm re-bases its top redexes only.
+    """A node of the tree of a term's redexes.  `node` is the redex in the
+    mutable term, if there is one, and `up` the nearest redex above it, or
+    the root for outermost ones.  `rel` is the position relative to `up`'s;
+    `kids` are the redexes directly below, in document order.  So a redex is
+    OI when `up` is the root and IO when it has no kids, and moving a
+    subterm re-bases its top redexes only.
     """
 
-    __slots__ = ("rel", "head", "kids")
+    __slots__ = ("rel", "head", "node", "up", "kids")
 
-    def __init__(self, rel: Position, head: Symbol | None):
+    def __init__(
+        self, rel: Position, head: Symbol | None, node: _MNode | None, up: "_Redex | None"
+    ):
         self.rel = rel
         self.head = head
+        self.node = node
+        self.up = up
         self.kids: list[_Redex] = []
 
-    def copy(self) -> "_Redex":
-        top = _Redex(self.rel, self.head)
+    def copy(self, nodes: dict[int, _MNode]) -> "_Redex":
+        """This subtree for a copy of its term: `nodes` maps each original
+        node's id to its copy, as `_deep_copy` returns it."""
+        top = _Redex(self.rel, self.head, nodes[id(self.node)], self.up)
         stack = [(self, top)]
         while stack:
             src, dst = stack.pop()
             for k in src.kids:
-                c = _Redex(k.rel, k.head)
+                c = _Redex(k.rel, k.head, nodes[id(k.node)], dst)
                 dst.kids.append(c)
                 stack.append((k, c))
         return top
 
 
-def _redex_tree(g: Scheme, t: Term) -> _Redex:
+def _redex_tree(g: Scheme, t: Term, m: _MNode | None = None) -> _Redex:
     """The root of t's redex tree.  Subtrees without a redex are not
-    entered, so positions are built only on the paths to redexes."""
+    entered, so positions are built only on the paths to redexes.  `m`, a
+    mutable copy of t, gives each redex its node."""
     contains: dict[int, bool] = {}
     post: list[tuple[Term, bool]] = [(t, False)]
     while post:
@@ -161,50 +324,51 @@ def _redex_tree(g: Scheme, t: Term) -> _Redex:
         for a in node.args:
             post.append((a, False))
 
-    root = _Redex((), None)
-    pre: list[tuple[Term, _Redex, Position]] = [(t, root, ())] if contains[id(t)] else []
+    root = _Redex((), None, None, None)
+    pre: list[tuple[Term, _MNode | None, _Redex, Position]] = (
+        [(t, m, root, ())] if contains[id(t)] else []
+    )
     while pre:
-        node, above, rel = pre.pop()
+        node, mnode, above, rel = pre.pop()
         if _is_redex_head(g, node.head, len(node.args)):
-            r = _Redex(rel, node.head)
+            r = _Redex(rel, node.head, mnode, above)
             above.kids.append(r)
             above, rel = r, ()
         for i in range(len(node.args), 0, -1):
             if contains[id(node.args[i - 1])]:
-                pre.append((node.args[i - 1], above, rel + (i,)))
+                kid = None if mnode is None else mnode.kids[i - 1]
+                pre.append((node.args[i - 1], kid, above, rel + (i,)))
     return root
 
 
-# A redex found in the tree: (its parent, itself, its position and flags).
-_Found = tuple[_Redex, _Redex, RedexInfo]
+# A redex found in the tree: itself, with its position and flags.
+_Found = tuple[_Redex, RedexInfo]
 
 
 def _eligible(root: _Redex, policy: str) -> list[_Found]:
     """The redexes the policy allows, in document order.  Positions are put
     together only for these: the walk carries the path as a linked list."""
     if policy == OI:
-        return [(root, r, RedexInfo(r.rel, r.head, True, not r.kids)) for r in root.kids]
+        return [(r, RedexInfo(r.rel, r.head, True, not r.kids)) for r in root.kids]
     out: list[_Found] = []
-    stack: list[tuple[_Redex, _Redex, tuple]] = [
-        (root, r, (r.rel, None)) for r in reversed(root.kids)
-    ]
+    stack: list[tuple[_Redex, tuple]] = [(r, (r.rel, None)) for r in reversed(root.kids)]
     while stack:
-        parent, r, path = stack.pop()
+        r, path = stack.pop()
         if policy == UNRESTRICTED or not r.kids:
             parts, link = [], path
             while link is not None:
                 parts.append(link[0])
                 link = link[1]
             pos = tuple(i for rel in reversed(parts) for i in rel)
-            out.append((parent, r, RedexInfo(pos, r.head, parent is root, not r.kids)))
+            out.append((r, RedexInfo(pos, r.head, r.up is root, not r.kids)))
         for k in reversed(r.kids):
-            stack.append((r, k, (k.rel, path)))
+            stack.append((k, (k.rel, path)))
     return out
 
 
 def redexes(g: Scheme, t: Term) -> list[RedexInfo]:
     """All redexes of a ground term in document order, with OI/IO flags."""
-    return [info for _, _, info in _eligible(_redex_tree(g, t), UNRESTRICTED)]
+    return [info for _, info in _eligible(_redex_tree(g, t), UNRESTRICTED)]
 
 
 def step(g: Scheme, t: Term, position: Position) -> Term:
@@ -223,53 +387,109 @@ def _contractum(g: Scheme, redex: Term) -> Term:
     return instantiate(rule.body, {p.name: a for p, a in zip(rule.params, redex.args)})
 
 
-def _rewrite(g: Scheme, t: Term, found: _Found) -> Term:
-    """Rewrite t at the redex `found` and update the redex tree in place.
+def _rewrite(g: Scheme, r: _Redex) -> tuple[list[_Redex], int]:
+    """Rewrite the redex r in place, in the mutable term and in the redex
+    tree.  Returns the redexes that took r's place among its parent's kids,
+    and the change in the term's size.
 
-    Only the rule body is walked.  The redexes inside each argument move,
-    as whole subtrees, to wherever the body places that argument (copied
-    when it is placed more than once); nothing else in the tree changes.
+    Only the rule body is walked.  As in `_Evaluator._fire`, each argument
+    node moves into the contractum at its first use and is deep-copied for
+    later ones.  The redexes inside an argument go with it, as whole
+    subtrees, copied and re-pointed along with a copy.  Nothing else in the
+    term or in the tree changes.
     """
-    parent, r, info = found
-    sub = subterm_at(t, info.position)
-    rule = g.rules[sub.head.name]
+    node = r.node
+    rule = g.rules[r.head.name]
+    args = node.kids
     index = {p.name: k for k, p in enumerate(rule.params)}
     moved: list[list[tuple[_Redex, Position]]] = [[] for _ in rule.params]
-    for k in r.kids:
-        moved[k.rel[0] - 1].append((k, k.rel[1:]))
+    for kid in r.kids:
+        moved[kid.rel[0] - 1].append((kid, kid.rel[1:]))
     placed = [False] * len(rule.params)
+    delta = -1  # the redex node goes
 
-    def place(k: int, into: list[_Redex], at: Position) -> None:
+    def place(
+        k: int, nodes: dict[int, _MNode] | None, up: _Redex, into: list[_Redex], at: Position
+    ) -> None:
+        """Put argument k's redex subtrees below `up`, its node at `at`
+        relative to up's; `nodes` maps the argument's nodes to a copy's, or
+        is None when the argument itself moved."""
         for kid, rest in moved[k]:
-            kid = kid.copy() if placed[k] else kid
+            if nodes is not None:
+                kid = kid.copy(nodes)
             kid.rel = at + rest
+            kid.up = up
             into.append(kid)
-        placed[k] = True
 
-    def walk(bt: Term, into: list[_Redex], at: Position) -> None:
-        """Add the redexes of bt's instance, at `at` below `into`'s owner."""
-        head, skip, k = bt.head, 0, None
+    def build(bt: Term, up: _Redex, into: list[_Redex], at: Position) -> _MNode:
+        """bt's instance; its redexes go to `into`, below `up`, at `at`
+        relative to up's position."""
+        nonlocal delta
+        head, kids, k, nodes = bt.head, [], None, None
         if head.kind == VARIABLE and head.name in index:
             k = index[head.name]
+            base = args[k]
+            if placed[k]:
+                base, nodes = _deep_copy(base)
+                delta += len(nodes)
+            placed[k] = True
             if not bt.args:  # the argument itself, a redex or not
-                place(k, into, at)
-                return
+                place(k, nodes, up, into, at)
+                return base
             # a partial application, completed by the body's arguments
-            head, skip = sub.args[k].head, len(sub.args[k].args)
-        if _is_redex_head(g, head, skip + len(bt.args)):
-            new = _Redex(at, head)
+            head, kids = base.sym, base.kids
+        else:
+            delta += 1
+        new = None
+        if _is_redex_head(g, head, len(kids) + len(bt.args)):
+            new = _Redex(at, head, None, up)
             into.append(new)
-            into, at = new.kids, ()
+            up, into, at = new, new.kids, ()
         if k is not None:
-            place(k, into, at)
-        for j, a in enumerate(bt.args, skip + 1):
-            walk(a, into, at + (j,))
+            place(k, nodes, up, into, at)
+        m = _MNode(
+            head,
+            kids + [build(a, up, into, at + (j,)) for j, a in enumerate(bt.args, len(kids) + 1)],
+        )
+        if new is not None:
+            new.node = m
+        return m
 
     top: list[_Redex] = []
-    walk(rule.body, top, r.rel)
-    i = bisect_left(parent.kids, r.rel, key=lambda k: k.rel)
-    parent.kids[i : i + 1] = top
-    return replace_at(t, info.position, _contractum(g, sub))
+    inst = build(rule.body, r.up, top, r.rel)
+    for k, arg in enumerate(args):
+        if not placed[k]:
+            delta -= _subtree_size(arg)
+    node.sym = inst.sym
+    node.kids = inst.kids
+    for kid in node.kids:
+        kid.parent = node
+    if top and top[0].node is inst:  # a redex at the contractum's root
+        top[0].node = node
+    siblings = r.up.kids
+    i = bisect_left(siblings, r.rel, key=lambda x: x.rel)
+    siblings[i : i + 1] = top
+    return top, delta
+
+
+def _innermost_after(
+    root: _Redex, r: _Redex, pos: Position, new: list[_Redex], out: list[_Found]
+) -> None:
+    """Append to `out`, in document order, the innermost redexes that
+    rewriting the innermost redex r at `pos` made, `new` being the redexes
+    that took its place: the leaves of their subtrees, or r's parent if it
+    lost its last child redex.  Nothing outside the contractum is walked."""
+    base = pos[: len(pos) - len(r.rel)]  # the position of r's parent
+    stack = [(x, base + x.rel) for x in reversed(new)]
+    while stack:
+        x, p = stack.pop()
+        if x.kids:
+            stack.extend((kid, p + kid.rel) for kid in reversed(x.kids))
+        else:
+            out.append((x, RedexInfo(p, x.head, x.up is root, True)))
+    up = r.up
+    if up is not root and not up.kids:
+        out.append((up, RedexInfo(base, up.head, up.up is root, True)))
 
 
 Chooser = Callable[[Term, list[RedexInfo]], Optional[RedexInfo]]
@@ -290,24 +510,31 @@ def derive(
     under `io`).  A custom chooser may return None to stop early, and must
     pick from the eligible list.
 
-    The current term's redexes are kept in a tree that each step updates
-    from the rule body alone, so a step costs about the body and the path
-    to the redex, not the whole term.
+    The term is rewritten in place and its redexes are kept in a tree that
+    each step updates from the rule body alone, so a step costs about the
+    body and its copied arguments, not the whole term.  Under `io` each
+    round after the first comes from the last round's contracta.  Only a
+    custom chooser, which is handed the current term, makes the derivation
+    keep an immutable one.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if t0.type != GROUND:
         raise NotARedex("derivations start from ground terms")
-    steps: list[tuple[Term, RedexInfo, Term]] = []
+    top = _from_term(g, t0)
+    root = _redex_tree(g, t0, top)
+    size = t0.size
+    chosen: list[RedexInfo] = []
     exhausted = False
     term = t0
-    root = _redex_tree(g, t0)
     # Under `unrestricted` the fair sweep schedules the outermost redexes,
     # which attains the value tree.
     sweep = OI if policy == UNRESTRICTED else policy
     queue: list[_Found] = []
+    # Under `io`, the next round: the innermost redexes this round made.
+    following: list[_Found] | None = None
     while True:
-        if term.size > budget.max_term_size:
+        if size > budget.max_term_size:
             exhausted = True
             break
         if chooser is None:
@@ -315,36 +542,40 @@ def derive(
                 # The queued redexes are pairwise disjoint (none lies below
                 # another), so rewriting one leaves the others in place with
                 # the same flags: a round needs no new snapshot.
-                queue = _eligible(root, sweep)
+                queue = _eligible(root, sweep) if following is None else following
+                if sweep == IO:
+                    following = []
                 queue.reverse()
                 if not queue:
                     break
-            if len(steps) >= budget.max_steps:
+            if len(chosen) >= budget.max_steps:
                 exhausted = True
                 break
-            found = queue.pop()
-            chosen = found[2]
+            r, info = queue.pop()
         else:
             candidates = _eligible(root, policy)
             if not candidates:
                 break
-            if len(steps) >= budget.max_steps:
+            if len(chosen) >= budget.max_steps:
                 exhausted = True
                 break
-            chosen = chooser(term, [info for _, _, info in candidates])
-            if chosen is None:
+            pick = chooser(term, [info for _, info in candidates])
+            if pick is None:
                 break
-            at = {info.position: (p, r, info) for p, r, info in candidates}
-            if chosen.position not in at:
+            at = {info.position: r for r, info in candidates}
+            if pick.position not in at:
                 raise PolicyViolation(
-                    f"chooser picked {chosen.position} which is not an "
+                    f"chooser picked {pick.position} which is not an "
                     f"eligible {policy} redex"
                 )
-            found = at[chosen.position]
-        after = _rewrite(g, term, found)
-        steps.append((term, chosen, after))
-        term = after
-    return DerivationTrace(steps, exhausted)
+            r, info = at[pick.position], pick
+            term = step(g, term, info.position)
+        new, delta = _rewrite(g, r)
+        size += delta
+        chosen.append(info)
+        if following is not None:
+            _innermost_after(root, r, info.position, new, following)
+    return DerivationTrace(g, t0, chosen, _to_term(top), exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +589,6 @@ def derive(
 
 _INVIS = -1
 _BEYOND = -2
-
-
-class _MNode:
-    """A node of the evaluator's mutable term.  `redex`: the node can be
-    rewritten; `hot`: it or some node below it can."""
-
-    __slots__ = ("sym", "kids", "parent", "redex", "hot", "vis", "stamp")
-
-    def __init__(self, sym: Symbol, kids: list["_MNode"]):
-        self.sym = sym
-        self.kids = kids
-        self.parent: _MNode | None = None
-        self.redex = False
-        self.hot = False
-        self.vis: int | None = None
-        self.stamp = -1
-        for k in kids:
-            k.parent = self
 
 
 @dataclass(frozen=True)
@@ -404,30 +617,11 @@ class _Evaluator:
             self.rules[name] = _CompiledRule(
                 tuple(p.name for p in rule.params), rule.body, uses
             )
-        self.root = self._from_term(start)
+        self.root = _from_term(g, start)
         self.size = start.size
         self._assign_vis(self.root, 0 if self.depth >= 1 else _BEYOND)
 
     # -- construction -------------------------------------------------
-
-    def _classify(self, m: _MNode) -> None:
-        m.redex = _is_redex_head(self.g, m.sym, len(m.kids))
-        m.hot = m.redex or any(k.hot for k in m.kids)
-
-    def _from_term(self, t: Term) -> _MNode:
-        done: dict[int, _MNode] = {}
-        stack: list[tuple[Term, bool]] = [(t, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not expanded:
-                stack.append((node, True))
-                for a in node.args:
-                    stack.append((a, False))
-                continue
-            m = _MNode(node.head, [done[id(a)] for a in node.args])
-            self._classify(m)
-            done[id(node)] = m
-        return done[id(t)]
 
     def _child_vis(self, node: _MNode) -> int:
         if node.vis == _BEYOND:
@@ -450,34 +644,6 @@ class _Evaluator:
 
     # -- rewriting ----------------------------------------------------
 
-    def _deep_copy(self, node: _MNode) -> tuple[_MNode, int]:
-        done: dict[int, _MNode] = {}
-        count = 0
-        stack: list[tuple[_MNode, bool]] = [(node, False)]
-        while stack:
-            n, expanded = stack.pop()
-            if not expanded:
-                stack.append((n, True))
-                for k in n.kids:
-                    stack.append((k, False))
-                continue
-            m = _MNode(n.sym, [done[id(k)] for k in n.kids])
-            m.redex = n.redex
-            m.hot = n.hot
-            m.vis = n.vis
-            done[id(n)] = m
-            count += 1
-        return done[id(node)], count
-
-    def _subtree_size(self, node: _MNode) -> int:
-        count = 0
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            count += 1
-            stack.extend(n.kids)
-        return count
-
     def _fire(self, node: _MNode) -> None:
         """Rewrite the redex at `node` in place (one step)."""
         rule = self.rules[node.sym.name]
@@ -491,8 +657,8 @@ class _Evaluator:
             if head.kind == VARIABLE and head.name in argmap:
                 base = argmap[head.name]
                 if head.name in moved:
-                    base, copied = self._deep_copy(base)
-                    delta_size += copied
+                    base, copies = _deep_copy(base)
+                    delta_size += len(copies)
                 else:
                     moved.add(head.name)
                 if not bt.args:
@@ -502,13 +668,13 @@ class _Evaluator:
             else:
                 m = _MNode(head, [build(a) for a in bt.args])
                 delta_size += 1
-            self._classify(m)
+            _classify(self.g, m)
             return m
 
         inst = build(rule.body)
         for name, n in rule.uses.items():
             if n == 0:
-                delta_size -= self._subtree_size(argmap[name])
+                delta_size -= _subtree_size(argmap[name])
         self.size += delta_size - 1
 
         node.sym = inst.sym

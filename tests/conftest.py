@@ -242,8 +242,7 @@ def naive_value_tree(g: Scheme, policy: str, budget: EvalBudget):
     """Value tree via the trace-producing deriver: truncate the final term's
     bottom-transform.  Slow but entirely independent of the fast evaluator."""
     trace = derive(g, g.start_term(), policy, budget)
-    final = trace.terms[-1] if trace.terms else g.start_term()
-    return truncate(bottom_transform(final), budget.depth), trace.exhausted_budget
+    return truncate(bottom_transform(trace.final), budget.depth), trace.exhausted_budget
 
 
 def _rule_arities(g: Scheme) -> dict[str, int]:
@@ -345,7 +344,10 @@ def reference_derive(g: Scheme, t0: Term, policy: str, budget: EvalBudget) -> De
         after = step(g, term, chosen.position)
         steps.append((term, chosen, after))
         term = after
-    return DerivationTrace(steps, exhausted)
+    trace = DerivationTrace(g, t0, [info for _, info, _ in steps], term, exhausted)
+    # Its steps are the ones this loop made, not a replay of its choices.
+    trace._replayed = steps
+    return trace
 
 
 def reference_self_correct(gprime: Scheme, lab: Labeling) -> tuple[Scheme, tuple[str, ...]]:

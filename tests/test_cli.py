@@ -7,7 +7,7 @@ import pytest
 from hors import EvalBudget, render, value_tree_report
 from hors.cli import main
 
-from conftest import SCHEMES_DIR
+from conftest import SCHEMES_DIR, load_scheme, reference_derive
 
 ORDER3 = str(SCHEMES_DIR / "order3.hors")
 SEPARATING = str(SCHEMES_DIR / "separating.hors")
@@ -178,6 +178,55 @@ def test_derive_trace_format(capsys):
     assert lines[0] == "0 ε S OI=1 IO=1"
     assert lines[1] == "1 ε F OI=1 IO=0"
     assert lines[-1] == "c"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCHEMES_DIR.glob("*.hors")))
+def test_derive_trace_matches_the_rescanning_reference(name, capsys):
+    """The in-place derivation prints, byte for byte, the trace of the
+    reference loop that rescans the whole term before every step."""
+    g = load_scheme(name)
+    for policy, engine_policy in (("oi", "oi"), ("io", "io"), ("any", "unrestricted")):
+        for steps in (1, 57, 600):
+            trace = reference_derive(g, g.start_term(), engine_policy, EvalBudget(steps, 100_000))
+            want = [
+                f"{i} {'.'.join(map(str, info.position)) or 'ε'} {info.nonterminal.name} "
+                f"OI={int(info.is_oi)} IO={int(info.is_io)}"
+                for i, info in enumerate(trace.chosen)
+            ]
+            want.append(str(trace.final))
+            got = run(capsys, "derive", str(SCHEMES_DIR / name), "--policy", policy,
+                      "--trace", "--steps", str(steps))
+            warning = "warning: budget exhausted; derivation is incomplete\n"
+            assert got == (0, "\n".join(want) + "\n", warning if trace.exhausted_budget else ""), (
+                policy, steps)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["derive", "--policy", "io"],
+        ["valuetree"],
+        ["analyze"],
+        ["transform", "--to", "io"],
+        ["transform", "--to", "oi"],
+    ],
+)
+def test_deeply_nested_input_is_a_domain_error(argv, tmp_path, capsys):
+    depth = 1_500
+    body = "a (" * depth + "c" + ")" * depth
+    path = tmp_path / "deep.hors"
+    path.write_text(
+        "terminal a : o -> o\nterminal c : o\nnonterminal S : o\nstart S\n"
+        f"rule S = {body}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.endswith("nested too deeply\n")
+        assert err.count("\n") == 1
 
 
 def test_analyze_text(capsys):

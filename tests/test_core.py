@@ -421,3 +421,16 @@ def test_tree_to_str_examples():
     assert str(_tree(A3, _tree(B2, BOT, _tree(C0)), _tree(C0), BOT)) == "a3 (b2 ⊥ c0) c0 ⊥"
     assert str(_chain(2)) == "a1 (a1 ⊥)"
     assert str(_chain(DEEP)) == "a1 (" * (DEEP - 1) + "a1 ⊥" + ")" * (DEEP - 1)
+
+
+def test_partial_tree_equality_and_hash_at_depth():
+    a, b = _chain(DEEP, _tree(C0)), _chain(DEEP, _tree(C0))
+    assert a is not b
+    assert a == b and not (a != b)
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    other = _chain(DEEP, BOT)  # differs in the one leaf
+    assert a != other and not (a == other)
+    assert _chain(DEEP) != _chain(DEEP - 1)
+    assert _tree(B2, BOT, _tree(C0)) != _tree(B2, _tree(C0), BOT)
+    assert BOT == PartialTree(None) and BOT != "⊥"

@@ -1,6 +1,7 @@
 """Redex classification, derivations and value-tree prefixes."""
 
 import random
+import sys
 
 import pytest
 
@@ -532,3 +533,104 @@ def test_evaluator_flags_match_recomputation(corpus):
             ev = _Evaluator(g, g.start_term(), budget)
             run(ev)
             _assert_flags_fresh(g, ev)
+
+
+# ---------------------------------------------------------------------------
+# the in-place derivation
+
+
+def test_final_term_equals_the_replayed_last_term(corpus):
+    budget = EvalBudget(150, 20_000, 3)
+    for g in corpus:
+        for policy in POLICIES:
+            rng = random.Random(3)
+            for chooser in (None, lambda t, els: rng.choice(els)):
+                trace = derive(g, g.start_term(), policy, budget, chooser=chooser)
+                assert trace.start == g.start_term()
+                assert len(trace.steps) == len(trace.chosen)
+                assert [info for _, info, _ in trace.steps] == trace.chosen
+                if trace.steps:
+                    assert trace.final == trace.steps[-1][2] == trace.terms[-1]
+                else:
+                    assert trace.final == trace.start and trace.terms == []
+
+
+def test_default_derivation_neither_rebuilds_spines_nor_replays(separating, order3, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("replace_at called")
+
+    monkeypatch.setattr("hors.engine.replace_at", refuse)
+    for g in (separating, order3):
+        for policy in POLICIES:
+            trace = derive(g, g.start_term(), policy, EvalBudget(300, 20_000, 3))
+            assert len(trace.steps) == len(trace.chosen) > 0
+            assert bool(trace.steps)
+    with pytest.raises(AssertionError, match="replace_at called"):
+        trace.steps[0]
+
+
+def test_io_chain_of_3000_steps_needs_no_recursion(separating):
+    n = 3_000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)  # the interpreter's default
+    try:
+        trace = derive(separating, separating.start_term(), "io", EvalBudget(n, 100_000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert trace.exhausted_budget and len(trace.steps) == n
+    assert [info.position for info in trace.chosen] == [(1,) * i for i in range(n)]
+    f, h, a, c = (separating.symbol(s) for s in "FHac")
+    chain = Term(a)
+    for _ in range(n):
+        chain = Term(h, (chain,))
+    assert trace.final == Term(f, (chain, Term(c)))
+
+
+def test_shared_start_subterms_are_rewritten_apart():
+    # the start term shares one redex between two positions; each position
+    # is its own node, rewritten by its own step
+    g = parse(
+        """
+        terminal a : o -> o
+        terminal b : o -> o -> o
+        terminal c : o
+        nonterminal S : o
+        nonterminal F : o -> o
+        var x : o
+        start S
+        rule S = c
+        rule F x = a x
+        """
+    )
+    b, f, c = g.symbol("b"), g.symbol("F"), g.symbol("c")
+    shared = Term(f, (Term(c),))
+    start = Term(b, (shared, shared))
+    for policy in POLICIES:
+        trace = derive(g, start, policy, small())
+        assert [info.position for info in trace.chosen] == [(1,), (2,)]
+        assert term_to_str(trace.final) == "b (a c) (a c)"
+        report = value_tree_report(g, policy, small(), start=start)
+        assert report.steps_used == 2
+
+
+def test_term_size_counts_copied_arguments():
+    # every step copies the growing argument x, so the size cap is reached
+    # after a dozen steps, and at the same step as the rescanning loop's
+    g = parse(
+        """
+        terminal a : o -> o
+        terminal b : o -> o -> o
+        terminal c : o
+        nonterminal S : o
+        nonterminal F : o -> o
+        var x : o
+        start S
+        rule S = F (a c)
+        rule F x = b x (F (a x))
+        """
+    )
+    budget = EvalBudget(40, 100, 3)
+    for policy in POLICIES:
+        got = derive(g, g.start_term(), policy, budget)
+        assert got.exhausted_budget and len(got.steps) < 20, policy
+        assert _trace_key(got) == _trace_key(reference_derive(g, g.start_term(), policy, budget))
