@@ -2,16 +2,17 @@
 
 `redexes`/`step` work on immutable terms.  `derive` rewrites one private
 mutable copy of its start term in place and keeps the redexes of the
-current term in a tree, each pointing at its node: a step walks the rule
-body and moves or copies argument nodes, and the fair sweep under `io`
-takes each round's innermost redexes from the last round's contracta.  The
-trace keeps the chosen redexes and the final term only; the intermediate
-terms are rebuilt with `step` when asked for.  `value_tree` runs the fair
-schedulers on the same mutable representation: each node knows whether its
-subtree holds a redex, so sweeps skip settled regions, a redex is innermost
-when none of its children holds one, and a rewrite updates the flags above
-it only as far as they flip.  Subtrees that can never reach the requested
-output depth are left unexpanded.
+current term in a tree, each pointing at its node: a step runs the rule's
+compiled template, which moves or copies argument nodes, and the fair sweep
+under `io` takes each round's innermost redexes from the last round's
+contracta.  The trace keeps the chosen redexes and the final term only; the
+intermediate terms are rebuilt with `step` when asked for.  `value_tree`
+runs the fair schedulers on the same mutable representation and the same
+templates: each node knows whether its subtree holds a redex, so sweeps
+skip settled regions, a redex is innermost when none of its children holds
+one, and a rewrite updates the flags above it only as far as they flip.
+Subtrees that can never reach the requested output depth are left
+unexpanded.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 from .core import (
@@ -186,41 +188,16 @@ class _MNode:
 
     __slots__ = ("sym", "kids", "parent", "redex", "hot", "vis", "stamp")
 
-    def __init__(self, sym: Symbol, kids: list["_MNode"]):
+    def __init__(self, sym: Symbol, kids: list["_MNode"], redex: bool = False, hot: bool = False):
         self.sym = sym
         self.kids = kids
         self.parent: _MNode | None = None
-        self.redex = False
-        self.hot = False
+        self.redex = redex
+        self.hot = hot
         self.vis: int | None = None
         self.stamp = -1
         for k in kids:
             k.parent = self
-
-
-def _classify(g: Scheme, m: _MNode) -> None:
-    m.redex = _is_redex_head(g, m.sym, len(m.kids))
-    m.hot = m.redex or any(k.hot for k in m.kids)
-
-
-def _from_term(g: Scheme, t: Term) -> _MNode:
-    """A classified mutable copy of t, one node per position: a subterm
-    that t shares between positions gets a node at each of them."""
-    done: list[_MNode] = []  # built nodes, children before parents
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            cut = len(done) - len(node.args)
-            m = _MNode(node.head, done[cut:])
-            del done[cut:]
-            _classify(g, m)
-            done.append(m)
-            continue
-        stack.append((node, True))
-        for a in reversed(node.args):
-            stack.append((a, False))
-    return done[0]
 
 
 def _deep_copy(node: _MNode) -> tuple[_MNode, dict[int, _MNode]]:
@@ -235,9 +212,7 @@ def _deep_copy(node: _MNode) -> tuple[_MNode, dict[int, _MNode]]:
             for k in n.kids:
                 stack.append((k, False))
             continue
-        m = _MNode(n.sym, [done[id(k)] for k in n.kids])
-        m.redex = n.redex
-        m.hot = n.hot
+        m = _MNode(n.sym, [done[id(k)] for k in n.kids], n.redex, n.hot)
         m.vis = n.vis
         done[id(n)] = m
     return done[id(node)], done
@@ -268,6 +243,120 @@ def _to_term(node: _MNode) -> Term:
         for k in reversed(n.kids):
             stack.append((k, False))
     return done[0]
+
+
+# ---------------------------------------------------------------------------
+# Rule templates: a rule body compiled once, instantiated by one loop.
+
+
+class _Template:
+    """A rule body compiled to postfix operations, run by `_instantiate`.
+
+    A non-parameter head is `(False, symbol, child count, redex, slot)`,
+    its redex flag static.  A parameter head is `(True, parameter index,
+    extra-argument count, copy, slot)`: the argument moves to the first
+    occurrence in pre-order and is copied for later ones.  `nsym` counts
+    the new nodes and `unused` lists the parameters that do not occur.
+
+    `items`, for `_rewrite`, are the static redexes and the parameter
+    occurrences in document order; `slot` is an operation's index among
+    them, or -1.  An item is `(parent, rel, shift, param, opens)`: the slot
+    of the nearest item above that may be a redex (-1: none), the position
+    relative to it, whose first index skips the kids of argument `shift`
+    when that item is a parameter (-1: not), the parameter index (-1 for a
+    static redex) and whether the item may be a redex itself.
+    """
+
+    __slots__ = ("ops", "nsym", "unused", "items")
+
+    def __init__(self, g: Scheme, params: Sequence[Symbol], body: Term):
+        index = {p.name: k for k, p in enumerate(params)}
+        self.ops: list[tuple] = []
+        self.items: list[tuple[int, Position, int, int, bool]] = []
+        seen: set[int] = set()
+        # (False, term, parent item, path from it as a linked list, shift)
+        # to visit, or (True, operation) to emit once the children are.
+        todo: list[tuple] = [(False, body, -1, None, -1)]
+        while todo:
+            entry = todo.pop()
+            if entry[0]:
+                self.ops.append(entry[1:])
+                continue
+            _, t, parent, link, shift = entry
+            n = len(t.args)
+            k = index.get(t.head.name) if t.head.kind == VARIABLE else None
+            redex = k is None and _is_redex_head(g, t.head, n)
+            slot = -1
+            if k is not None or redex:
+                rel: list[int] = []
+                while link is not None:  # the children's paths start here
+                    j, link = link
+                    rel.append(j)
+                slot, param = len(self.items), -1 if redex else k
+                self.items.append((parent, tuple(reversed(rel)), shift, param, redex or n > 0))
+                parent, shift = slot, param
+            if k is not None:
+                todo.append((True, True, k, n, k in seen, slot))
+                seen.add(k)
+            else:
+                todo.append((True, False, t.head, n, redex, slot))
+            for j in range(n, 0, -1):
+                todo.append((False, t.args[j - 1], parent, (j, link), shift))
+        self.nsym = sum(1 for op in self.ops if not op[0])
+        self.unused = tuple(k for k in range(len(params)) if k not in seen)
+
+
+def _templates(g: Scheme) -> Callable[[str], _Template]:
+    """The template of each rule by name, compiled on its first use."""
+    return cache(lambda name: _Template(g, g.rules[name].params, g.rules[name].body))
+
+
+def _instantiate(
+    g: Scheme, tpl: _Template, node: _MNode, rec: list | None = None
+) -> tuple[_MNode, int]:
+    """Rewrite the redex `node` in place by running its rule's template.
+    Returns the instance's root, whose symbol, kids and flags `node` takes
+    over, and the change in the term's size.  `rec`, if given, receives
+    each item's node by slot, a parameter's with the node map of its copy
+    (None when the argument itself moved)."""
+    args = node.kids
+    stack: list[_MNode] = []
+    delta = tpl.nsym - 1  # the redex node goes
+    for param, a, n, flag, slot in tpl.ops:
+        nodes = None
+        if param:
+            m = args[a]
+            if flag:
+                m, nodes = _deep_copy(m)
+                delta += len(nodes)
+            if n:  # a partial application, completed by the body's arguments
+                kids = m.kids + stack[-n:]
+                del stack[-n:]
+                redex = _is_redex_head(g, m.sym, len(kids))
+                m = _MNode(m.sym, kids, redex, redex or any(k.hot for k in kids))
+        else:
+            kids = stack[len(stack) - n :]
+            del stack[len(stack) - n :]
+            m = _MNode(a, kids, flag, flag or any(k.hot for k in kids))
+        if rec is not None and slot >= 0:
+            rec[slot] = (m, nodes)
+        stack.append(m)
+    for k in tpl.unused:
+        delta -= _subtree_size(args[k])
+    inst = stack[0]
+    node.sym, node.kids, node.redex, node.hot = inst.sym, inst.kids, inst.redex, inst.hot
+    for k in node.kids:
+        k.parent = node
+    return inst, delta
+
+
+def _from_term(g: Scheme, t: Term) -> _MNode:
+    """A classified mutable copy of t, one node per position (a subterm
+    that t shares gets a node at each): t's instance as a template without
+    parameters."""
+    node = _MNode(t.head, [])
+    _instantiate(g, _Template(g, (), t), node)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -387,83 +476,47 @@ def _contractum(g: Scheme, redex: Term) -> Term:
     return instantiate(rule.body, {p.name: a for p, a in zip(rule.params, redex.args)})
 
 
-def _rewrite(g: Scheme, r: _Redex) -> tuple[list[_Redex], int]:
+def _rewrite(g: Scheme, tpl: _Template, r: _Redex) -> tuple[list[_Redex], int]:
     """Rewrite the redex r in place, in the mutable term and in the redex
     tree.  Returns the redexes that took r's place among its parent's kids,
     and the change in the term's size.
 
-    Only the rule body is walked.  As in `_Evaluator._fire`, each argument
-    node moves into the contractum at its first use and is deep-copied for
-    later ones.  The redexes inside an argument go with it, as whole
-    subtrees, copied and re-pointed along with a copy.  Nothing else in the
-    term or in the tree changes.
+    A step runs the rule's compiled template, which moves each argument
+    node into the contractum at its first use and deep-copies it for later
+    ones.  The redexes inside an argument go with it, as whole subtrees,
+    copied and re-pointed along with a copy.  The template's items, in
+    document order, give the other redexes: the static ones, and a
+    parameter completed by extra arguments when its head makes a redex.
+    Nothing else in the term or in the tree changes.
     """
     node = r.node
-    rule = g.rules[r.head.name]
     args = node.kids
-    index = {p.name: k for k, p in enumerate(rule.params)}
-    moved: list[list[tuple[_Redex, Position]]] = [[] for _ in rule.params]
+    moved: list[list[tuple[_Redex, Position]]] = [[] for _ in args]
     for kid in r.kids:
         moved[kid.rel[0] - 1].append((kid, kid.rel[1:]))
-    placed = [False] * len(rule.params)
-    delta = -1  # the redex node goes
-
-    def place(
-        k: int, nodes: dict[int, _MNode] | None, up: _Redex, into: list[_Redex], at: Position
-    ) -> None:
-        """Put argument k's redex subtrees below `up`, its node at `at`
-        relative to up's; `nodes` maps the argument's nodes to a copy's, or
-        is None when the argument itself moved."""
-        for kid, rest in moved[k]:
+    rec: list = [None] * len(tpl.items)
+    inst, delta = _instantiate(g, tpl, node, rec)
+    top: list[_Redex] = []
+    # Per item: the redex its descendants go below, its kid list, and the
+    # descendants' base position relative to that redex.
+    below: list[tuple[_Redex, list[_Redex], Position]] = []
+    for i, (parent, rel, shift, k, opens) in enumerate(tpl.items):
+        up, into, at = (r.up, top, r.rel) if parent < 0 else below[parent]
+        if shift >= 0:
+            rel = (rel[0] + len(args[shift].kids),) + rel[1:]
+        at += rel
+        m, nodes = rec[i]
+        if opens and m.redex:
+            new = _Redex(at, m.sym, m, up)
+            into.append(new)
+            up, into, at = new, new.kids, ()
+        below.append((up, into, at))
+        for kid, rest in moved[k] if k >= 0 else ():
             if nodes is not None:
                 kid = kid.copy(nodes)
             kid.rel = at + rest
             kid.up = up
             into.append(kid)
-
-    def build(bt: Term, up: _Redex, into: list[_Redex], at: Position) -> _MNode:
-        """bt's instance; its redexes go to `into`, below `up`, at `at`
-        relative to up's position."""
-        nonlocal delta
-        head, kids, k, nodes = bt.head, [], None, None
-        if head.kind == VARIABLE and head.name in index:
-            k = index[head.name]
-            base = args[k]
-            if placed[k]:
-                base, nodes = _deep_copy(base)
-                delta += len(nodes)
-            placed[k] = True
-            if not bt.args:  # the argument itself, a redex or not
-                place(k, nodes, up, into, at)
-                return base
-            # a partial application, completed by the body's arguments
-            head, kids = base.sym, base.kids
-        else:
-            delta += 1
-        new = None
-        if _is_redex_head(g, head, len(kids) + len(bt.args)):
-            new = _Redex(at, head, None, up)
-            into.append(new)
-            up, into, at = new, new.kids, ()
-        if k is not None:
-            place(k, nodes, up, into, at)
-        m = _MNode(
-            head,
-            kids + [build(a, up, into, at + (j,)) for j, a in enumerate(bt.args, len(kids) + 1)],
-        )
-        if new is not None:
-            new.node = m
-        return m
-
-    top: list[_Redex] = []
-    inst = build(rule.body, r.up, top, r.rel)
-    for k, arg in enumerate(args):
-        if not placed[k]:
-            delta -= _subtree_size(arg)
-    node.sym = inst.sym
-    node.kids = inst.kids
-    for kid in node.kids:
-        kid.parent = node
     if top and top[0].node is inst:  # a redex at the contractum's root
         top[0].node = node
     siblings = r.up.kids
@@ -511,8 +564,8 @@ def derive(
     pick from the eligible list.
 
     The term is rewritten in place and its redexes are kept in a tree that
-    each step updates from the rule body alone, so a step costs about the
-    body and its copied arguments, not the whole term.  Under `io` each
+    each step updates from the rule's template alone, so a step costs about
+    the body and its copied arguments, not the whole term.  Under `io` each
     round after the first comes from the last round's contracta.  Only a
     custom chooser, which is handed the current term, makes the derivation
     keep an immutable one.
@@ -523,6 +576,7 @@ def derive(
         raise NotARedex("derivations start from ground terms")
     top = _from_term(g, t0)
     root = _redex_tree(g, t0, top)
+    template = _templates(g)
     size = t0.size
     chosen: list[RedexInfo] = []
     exhausted = False
@@ -570,7 +624,7 @@ def derive(
                 )
             r, info = at[pick.position], pick
             term = step(g, term, info.position)
-        new, delta = _rewrite(g, r)
+        new, delta = _rewrite(g, template(r.head.name), r)
         size += delta
         chosen.append(info)
         if following is not None:
@@ -591,13 +645,6 @@ _INVIS = -1
 _BEYOND = -2
 
 
-@dataclass(frozen=True)
-class _CompiledRule:
-    params: tuple[str, ...]
-    body: Term
-    uses: dict[str, int]
-
-
 class _Evaluator:
     def __init__(self, g: Scheme, start: Term, budget: EvalBudget):
         self.g = g
@@ -605,18 +652,7 @@ class _Evaluator:
         self.depth = budget.depth
         self.steps_used = 0
         self.exhausted = False
-        self.rules: dict[str, _CompiledRule] = {}
-        for name, rule in g.rules.items():
-            uses: dict[str, int] = {p.name: 0 for p in rule.params}
-            stack = [rule.body]
-            while stack:
-                node = stack.pop()
-                if node.head.kind == VARIABLE and node.head.name in uses:
-                    uses[node.head.name] += 1
-                stack.extend(node.args)
-            self.rules[name] = _CompiledRule(
-                tuple(p.name for p in rule.params), rule.body, uses
-            )
+        self.template = _templates(g)
         self.root = _from_term(g, start)
         self.size = start.size
         self._assign_vis(self.root, 0 if self.depth >= 1 else _BEYOND)
@@ -646,43 +682,8 @@ class _Evaluator:
 
     def _fire(self, node: _MNode) -> None:
         """Rewrite the redex at `node` in place (one step)."""
-        rule = self.rules[node.sym.name]
-        argmap = dict(zip(rule.params, node.kids))
-        moved: set[str] = set()
-        delta_size = 0
-
-        def build(bt: Term) -> _MNode:
-            nonlocal delta_size
-            head = bt.head
-            if head.kind == VARIABLE and head.name in argmap:
-                base = argmap[head.name]
-                if head.name in moved:
-                    base, copies = _deep_copy(base)
-                    delta_size += len(copies)
-                else:
-                    moved.add(head.name)
-                if not bt.args:
-                    return base
-                kids = base.kids + [build(a) for a in bt.args]
-                m = _MNode(base.sym, kids)
-            else:
-                m = _MNode(head, [build(a) for a in bt.args])
-                delta_size += 1
-            _classify(self.g, m)
-            return m
-
-        inst = build(rule.body)
-        for name, n in rule.uses.items():
-            if n == 0:
-                delta_size -= _subtree_size(argmap[name])
-        self.size += delta_size - 1
-
-        node.sym = inst.sym
-        node.kids = inst.kids
-        for k in node.kids:
-            k.parent = node
-        node.redex = inst.redex
-        node.hot = inst.hot
+        _, delta = _instantiate(self.g, self.template(node.sym.name), node)
+        self.size += delta
         # The node was a redex, so it was hot.  If it cooled, clear `hot`
         # upwards only as far as it flips; each check reads one node's kids.
         if not node.hot:

@@ -193,25 +193,6 @@ CONJ_INF = conj(Q_INF)
 ARROW_INF = ArrowMap(CONJ_INF, Q_INF)  # the always-true arrow atom
 
 
-def atom_fits(atom: Atom, t: SimpleType) -> bool:
-    """Membership of an atom in the atom set of a type."""
-    if isinstance(atom, QInf):
-        return True
-    if isinstance(atom, QBot):
-        return isinstance(t, Ground)
-    if isinstance(atom, ArrowMap):
-        return (
-            isinstance(t, Arrow)
-            and conj_fits(atom.argument, t.argument)
-            and atom_fits(atom.result, t.result)
-        )
-    return False
-
-
-def conj_fits(c: Conj, t: SimpleType) -> bool:
-    return all(atom_fits(a, t) for a in c)
-
-
 # ---------------------------------------------------------------------------
 # Counting and enumeration
 
@@ -793,10 +774,6 @@ class Analysis:
             if n in venv
         }
         return layout(t.type).decode(self.semantics_mask(t, masks))
-
-    def nonterminal_semantics(self, name: str) -> Conj:
-        sym = self.scheme.nonterminals[name]
-        return self.semantics(Term(sym))
 
 
 def _free_variables(t: Term) -> dict[str, Symbol]:

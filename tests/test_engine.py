@@ -24,13 +24,40 @@ from hors.core import (
     GROUND,
     NONTERMINAL,
     arity,
+    arrow,
     bottom_transform,
+    instantiate,
+    nonterminal,
     term_to_str,
+    terminal,
     tree_leq,
+    variable,
 )
-from hors.engine import RedexInfo, _Evaluator
+from hors.engine import (
+    UNRESTRICTED,
+    RedexInfo,
+    _eligible,
+    _Evaluator,
+    _from_term,
+    _instantiate,
+    _MNode,
+    _redex_tree,
+    _rewrite,
+    _subtree_size,
+    _Template,
+    _to_term,
+)
+from hors.oi2io import bar_scheme
+from hors.scheme import Rule, Scheme
 
-from conftest import gen_scheme, naive_value_tree, reference_derive, reference_redexes
+from conftest import (
+    _candidates,
+    _gen_term,
+    gen_scheme,
+    naive_value_tree,
+    reference_derive,
+    reference_redexes,
+)
 
 O = GROUND
 
@@ -506,9 +533,10 @@ def test_chooser_receives_the_rescanned_eligible_list(corpus):
                 assert step(g, before, info.position) == after
 
 
-def _assert_flags_fresh(g, ev):
-    """Every reachable node's flags equal their values recomputed bottom-up."""
-    order, stack = [], [ev.root]
+def _assert_nodes_fresh(g, root):
+    """Every node's parent link and flags equal their values recomputed
+    bottom-up."""
+    order, stack = [], [root]
     while stack:
         n = stack.pop()
         order.append(n)
@@ -523,6 +551,12 @@ def _assert_flags_fresh(g, ev):
         )
         assert n.redex == redex
         assert n.hot == (redex or any(k.hot for k in n.kids))
+
+
+def _assert_flags_fresh(g, ev):
+    """The evaluator's flags and its running term size are current."""
+    _assert_nodes_fresh(g, ev.root)
+    assert ev.size == _subtree_size(ev.root)
 
 
 def test_evaluator_flags_match_recomputation(corpus):
@@ -634,3 +668,115 @@ def test_term_size_counts_copied_arguments():
         got = derive(g, g.start_term(), policy, budget)
         assert got.exhausted_budget and len(got.steps) < 20, policy
         assert _trace_key(got) == _trace_key(reference_derive(g, g.start_term(), policy, budget))
+
+
+# ---------------------------------------------------------------------------
+# compiled rule templates
+
+
+def _template_corpus(corpus):
+    """The corpus, the generated dual-route schemes, a scheme with partial
+    applications completed by the body, duplicated and unused parameters,
+    and the barred image of each."""
+    extra = parse(
+        """
+        terminal a : o -> o
+        terminal b : o -> o -> o
+        terminal c : o
+        nonterminal S : o
+        nonterminal F : o -> o
+        nonterminal G : o -> o
+        nonterminal K : o -> o -> o
+        nonterminal T : (o -> o) -> o -> o
+        var x : o
+        var y : o
+        var f : o -> o
+        start S
+        rule S = K (T G (F c)) (G c)
+        rule F x = a x
+        rule G y = b y y
+        rule K x y = x
+        rule T f x = f (f (T f x))
+        """
+    )
+    schemes = list(corpus) + [gen_scheme(seed) for seed in range(100, 160)] + [extra]
+    return schemes + [bar_scheme(g) for g in schemes]
+
+
+def _arguments(g, rule, rng):
+    """Closed argument terms for the rule's parameters, built from the
+    scheme's symbols, with partial applications and redexes among them."""
+    symbols = list(g.terminals.values()) + list(g.nonterminals.values())
+    args = []
+    for p in rule.params:
+        if not _candidates(symbols, p.type):
+            symbols.append(variable(f"free_{p.name}", p.type))
+        args.append(_gen_term(rng, symbols, p.type, 2))
+    return args
+
+
+def test_template_matches_instantiate_flags_and_size(corpus):
+    rng = random.Random(5)
+    checked = 0
+    for g in _template_corpus(corpus):
+        for rule in g.rules.values():
+            tpl = _Template(g, rule.params, rule.body)
+            for _ in range(3):
+                args = _arguments(g, rule, rng)
+                redex = Term(rule.lhs, tuple(args))
+                want = instantiate(rule.body, {p.name: a for p, a in zip(rule.params, args)})
+                # the instance: term, flags, size change
+                node = _MNode(rule.lhs, [_from_term(g, a) for a in args])
+                _, delta = _instantiate(g, tpl, node)
+                assert _to_term(node) == want, rule
+                _assert_nodes_fresh(g, node)
+                assert delta == want.size - redex.size, rule
+                # the redex tree after `_rewrite` is the one a rescan finds
+                top = _from_term(g, redex)
+                root = _redex_tree(g, redex, top)
+                new, delta = _rewrite(g, tpl, root.kids[0])
+                assert _to_term(top) == want and delta == want.size - redex.size, rule
+                found = _eligible(root, UNRESTRICTED)
+                assert [info for _, info in found] == redexes(g, want), rule
+                for r, info in found:
+                    at = top
+                    for i in info.position:
+                        at = at.kids[i - 1]
+                    assert r.node is at, (rule, info)
+                checked += 1
+    assert checked > 1_000
+
+
+def test_deep_rule_bodies_need_no_recursion():
+    # S = a^1500 (F c) and F x = b x (a^1500 x): a redex and a copied
+    # argument at the bottom of bodies nested deeper than the recursion limit
+    depth = 1_500
+    o = GROUND
+    a, b, c = terminal("a", arrow(o, o)), terminal("b", arrow(o, o, o)), terminal("c")
+    s, f, x = nonterminal("S"), nonterminal("F", arrow(o, o)), variable("x")
+
+    def nest(t):
+        for _ in range(depth):
+            t = Term(a, (t,))
+        return t
+
+    rules = {
+        "S": Rule(s, (), nest(Term(f, (Term(c),)))),
+        "F": Rule(f, (x,), Term(b, (Term(x), nest(Term(x))))),
+    }
+    g = Scheme({"a": a, "b": b, "c": c}, {"S": s, "F": f}, {"x": x}, rules, s).check()
+    final = nest(Term(b, (Term(c), nest(Term(c)))))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)  # the interpreter's default
+    try:
+        reports = [value_tree_report(g, p, EvalBudget(depth=3_100)) for p in ("io", "oi")]
+        traces = [derive(g, g.start_term(), p) for p in ("io", "oi", "unrestricted")]
+    finally:
+        sys.setrecursionlimit(limit)
+    for report in reports:
+        assert not report.exhausted and report.steps_used == 2
+        assert report.tree == bottom_transform(final)
+    for trace in traces:
+        assert not trace.exhausted_budget
+        assert [info.position for info in trace.chosen] == [(), (1,) * depth]
+        assert trace.final == final
