@@ -11,8 +11,10 @@ runs the fair schedulers on the same mutable representation and the same
 templates: each node knows whether its subtree holds a redex, so sweeps
 skip settled regions, a redex is innermost when none of its children holds
 one, and a rewrite updates the flags above it only as far as they flip.
-Subtrees that can never reach the requested output depth are left
-unexpanded.
+Each node also carries a visibility mark, and subtrees that can never reach
+the requested output depth are left unexpanded.  The template sets a new
+node's flags and mark as it builds it, from what compilation fixed and the
+redex's mark; only arguments whose mark changes are walked again.
 """
 
 from __future__ import annotations
@@ -181,28 +183,40 @@ def _is_redex_head(g: Scheme, head: Symbol, nargs: int) -> bool:
 # Mutable terms, rewritten in place by `derive` and the fast evaluator.
 
 
+# Visibility marks (`vis`), kept by the evaluator:
+#   >= 0  on an all-terminal path from the root, shallower than the horizon
+#   -1    below a non-terminal head somewhere: invisible until that resolves
+#   -2    on an all-terminal path at or beyond the horizon: permanently
+#         irrelevant for the requested prefix, never scanned or rewritten
+
+_INVIS = -1
+_BEYOND = -2
+
+
 class _MNode:
     """A node of a mutable term.  `redex`: the node can be rewritten; `hot`:
-    it or some node below it can.  The evaluator keeps these flags current;
-    `derive` does not read them."""
+    it or some node below it can; `vis`: its visibility mark.  The evaluator
+    keeps these current; `derive` does not read them."""
 
     __slots__ = ("sym", "kids", "parent", "redex", "hot", "vis", "stamp")
 
-    def __init__(self, sym: Symbol, kids: list["_MNode"], redex: bool = False, hot: bool = False):
+    def __init__(
+        self, sym: Symbol, kids: list["_MNode"], redex=False, hot=False, vis: int | None = _INVIS
+    ):
         self.sym = sym
         self.kids = kids
         self.parent: _MNode | None = None
         self.redex = redex
         self.hot = hot
-        self.vis: int | None = None
+        self.vis = vis
         self.stamp = -1
         for k in kids:
             k.parent = self
 
 
 def _deep_copy(node: _MNode) -> tuple[_MNode, dict[int, _MNode]]:
-    """A copy of node's subtree, flags included, and the copy of every
-    node in it by the original's id."""
+    """A copy of node's subtree, flags and marks included, and the copy of
+    every node in it by the original's id."""
     done: dict[int, _MNode] = {}
     stack: list[tuple[_MNode, bool]] = [(node, False)]
     while stack:
@@ -212,10 +226,26 @@ def _deep_copy(node: _MNode) -> tuple[_MNode, dict[int, _MNode]]:
             for k in n.kids:
                 stack.append((k, False))
             continue
-        m = _MNode(n.sym, [done[id(k)] for k in n.kids], n.redex, n.hot)
-        m.vis = n.vis
-        done[id(n)] = m
+        done[id(n)] = _MNode(n.sym, [done[id(k)] for k in n.kids], n.redex, n.hot, n.vis)
     return done[id(node)], done
+
+
+def _mark(node: _MNode, vis: int, horizon: int) -> None:
+    """Give `node` the mark `vis` and bring the marks below it in line with
+    it, entering only the nodes whose mark changes."""
+    node.vis = vis
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        v = n.vis
+        if v < 0 or n.sym.kind != TERMINAL:
+            cv = _BEYOND if v == _BEYOND else _INVIS
+        else:
+            cv = v + 1 if v + 1 < horizon else _BEYOND
+        for k in n.kids:
+            if k.vis != cv:
+                k.vis = cv
+                stack.append(k)
 
 
 def _subtree_size(node: _MNode) -> int:
@@ -252,11 +282,16 @@ def _to_term(node: _MNode) -> Term:
 class _Template:
     """A rule body compiled to postfix operations, run by `_instantiate`.
 
-    A non-parameter head is `(False, symbol, child count, redex, slot)`,
-    its redex flag static.  A parameter head is `(True, parameter index,
-    extra-argument count, copy, slot)`: the argument moves to the first
-    occurrence in pre-order and is copied for later ones.  `nsym` counts
-    the new nodes and `unused` lists the parameters that do not occur.
+    A non-parameter head is `(False, symbol, child count, redex, hot, off,
+    slot)`; its `hot` flag is None when a parameter below decides it.  A
+    parameter head is `(True, parameter index, extra-argument count, copy,
+    None, off, slot)`: the argument moves to the first occurrence in
+    pre-order and is copied for later ones.  `off` places a head for the
+    evaluator's marks: `d` at depth d on an all-terminal path from the body
+    root, `~k` below a non-terminal head first met at depth k, None below a
+    parameter head.  `root` is the body root's operation, run into the
+    redex node, and `ops` are the others.  `nsym` counts the new nodes and
+    `unused` lists the parameters that do not occur.
 
     `items`, for `_rewrite`, are the static redexes and the parameter
     occurrences in document order; `slot` is an operation's index among
@@ -267,22 +302,30 @@ class _Template:
     static redex) and whether the item may be a redex itself.
     """
 
-    __slots__ = ("ops", "nsym", "unused", "items")
+    __slots__ = ("ops", "root", "nsym", "unused", "items")
 
     def __init__(self, g: Scheme, params: Sequence[Symbol], body: Term):
         index = {p.name: k for k, p in enumerate(params)}
-        self.ops: list[tuple] = []
+        ops: list[tuple] = []
         self.items: list[tuple[int, Position, int, int, bool]] = []
         seen: set[int] = set()
-        # (False, term, parent item, path from it as a linked list, shift)
-        # to visit, or (True, operation) to emit once the children are.
-        todo: list[tuple] = [(False, body, -1, None, -1)]
+        hots: list[bool | None] = []  # the emitted operations' hot flags
+        # (False, term, parent item, path from it as a linked list, shift,
+        # off) to visit, or (True, operation) to emit once the children are.
+        todo: list[tuple] = [(False, body, -1, None, -1, 0)]
         while todo:
             entry = todo.pop()
             if entry[0]:
-                self.ops.append(entry[1:])
+                _, param, a, n, flag, off, slot = entry
+                kids = hots[len(hots) - n :]
+                del hots[len(hots) - n :]
+                # Set by a static redex, clear without one; None: decided
+                # at run time, by the kids that hold a parameter.
+                hot = None if param else flag or True in kids or (None if None in kids else False)
+                hots.append(hot)
+                ops.append((param, a, n, flag, hot, off, slot))
                 continue
-            _, t, parent, link, shift = entry
+            _, t, parent, link, shift, off = entry
             n = len(t.args)
             k = index.get(t.head.name) if t.head.kind == VARIABLE else None
             redex = k is None and _is_redex_head(g, t.head, n)
@@ -296,13 +339,18 @@ class _Template:
                 self.items.append((parent, tuple(reversed(rel)), shift, param, redex or n > 0))
                 parent, shift = slot, param
             if k is not None:
-                todo.append((True, True, k, n, k in seen, slot))
+                todo.append((True, True, k, n, k in seen, off, slot))
                 seen.add(k)
+                below = None
             else:
-                todo.append((True, False, t.head, n, redex, slot))
+                todo.append((True, False, t.head, n, redex, off, slot))
+                below = off
+                if off is not None and off >= 0:
+                    below = off + 1 if t.head.kind == TERMINAL else ~off
             for j in range(n, 0, -1):
-                todo.append((False, t.args[j - 1], parent, (j, link), shift))
-        self.nsym = sum(1 for op in self.ops if not op[0])
+                todo.append((False, t.args[j - 1], parent, (j, link), shift, below))
+        *self.ops, self.root = ops
+        self.nsym = sum(1 for op in ops if not op[0])
         self.unused = tuple(k for k in range(len(params)) if k not in seen)
 
 
@@ -312,17 +360,33 @@ def _templates(g: Scheme) -> Callable[[str], _Template]:
 
 
 def _instantiate(
-    g: Scheme, tpl: _Template, node: _MNode, rec: list | None = None
+    g: Scheme, tpl: _Template, node: _MNode, rec: list | None = None, horizon: int | None = None
 ) -> tuple[_MNode, int]:
     """Rewrite the redex `node` in place by running its rule's template.
-    Returns the instance's root, whose symbol, kids and flags `node` takes
-    over, and the change in the term's size.  `rec`, if given, receives
-    each item's node by slot, a parameter's with the node map of its copy
-    (None when the argument itself moved)."""
+    Returns the node whose place `node` took (the argument moved to the
+    body root, or else `node`) and the change in the term's size.  `rec`,
+    if given, receives each item's node by slot, a parameter's with the
+    node map of its copy (None when the argument itself moved).
+
+    Given the evaluator's `horizon`, each new node's mark follows from the
+    redex's mark and the operation's `off`.  The arguments were invisible
+    below the redex, so only parameter heads whose mark differs are walked.
+    `room`: the levels below the redex shallower than the horizon, None
+    when every new node is invisible."""
     args = node.kids
     stack: list[_MNode] = []
     delta = tpl.nsym - 1  # the redex node goes
-    for param, a, n, flag, slot in tpl.ops:
+    mark = node.vis
+    room = None if horizon is None or mark < 0 else horizon - mark
+    for param, a, n, flag, hot, off, slot in tpl.ops:
+        if room is None:
+            vis = _INVIS
+        elif off is None:
+            vis = None  # set by the walk from the parameter head above
+        elif off >= 0:
+            vis = mark + off if off < room else _BEYOND
+        else:
+            vis = _INVIS if ~off < room else _BEYOND
         nodes = None
         if param:
             m = args[a]
@@ -333,20 +397,35 @@ def _instantiate(
                 kids = m.kids + stack[-n:]
                 del stack[-n:]
                 redex = _is_redex_head(g, m.sym, len(kids))
-                m = _MNode(m.sym, kids, redex, redex or any(k.hot for k in kids))
+                hot = redex or any(k.hot for k in kids)
+                m = _MNode(m.sym, kids, redex, hot, vis if room is None else None)
+            if vis is not None and m.vis != vis:
+                _mark(m, vis, horizon)  # type: ignore[arg-type]
         else:
             kids = stack[len(stack) - n :]
             del stack[len(stack) - n :]
-            m = _MNode(a, kids, flag, flag or any(k.hot for k in kids))
+            m = _MNode(a, kids, flag, any(k.hot for k in kids) if hot is None else hot, vis)
         if rec is not None and slot >= 0:
             rec[slot] = (m, nodes)
         stack.append(m)
     for k in tpl.unused:
-        delta -= _subtree_size(args[k])
-    inst = stack[0]
-    node.sym, node.kids, node.redex, node.hot = inst.sym, inst.kids, inst.redex, inst.hot
-    for k in node.kids:
+        delta -= _subtree_size(args[k]) if args[k].kids else 1
+    param, a, _, flag, hot, _, slot = tpl.root
+    inst = node
+    if param:  # the argument moves to the root, completed by the rest
+        inst = args[a]
+        a, stack = inst.sym, inst.kids + stack
+        flag = _is_redex_head(g, a, len(stack))
+        hot = flag or any(k.hot for k in stack)
+    elif hot is None:
+        hot = any(k.hot for k in stack)
+    node.sym, node.kids, node.redex, node.hot = a, stack, flag, hot
+    for k in stack:
         k.parent = node
+    if rec is not None and slot >= 0:
+        rec[slot] = (node, None)
+    if param and room is not None:
+        _mark(node, mark, horizon)  # type: ignore[arg-type]
     return inst, delta
 
 
@@ -634,15 +713,6 @@ def derive(
 
 # ---------------------------------------------------------------------------
 # Fast evaluator for value trees.
-#
-# Visibility marks (`vis`):
-#   >= 0  on an all-terminal path from the root, shallower than the horizon
-#   -1    below a non-terminal head somewhere: invisible until that resolves
-#   -2    on an all-terminal path at or beyond the horizon: permanently
-#         irrelevant for the requested prefix, never scanned or rewritten
-
-_INVIS = -1
-_BEYOND = -2
 
 
 class _Evaluator:
@@ -655,34 +725,13 @@ class _Evaluator:
         self.template = _templates(g)
         self.root = _from_term(g, start)
         self.size = start.size
-        self._assign_vis(self.root, 0 if self.depth >= 1 else _BEYOND)
-
-    # -- construction -------------------------------------------------
-
-    def _child_vis(self, node: _MNode) -> int:
-        if node.vis == _BEYOND:
-            return _BEYOND
-        if node.vis == _INVIS or node.sym.kind != TERMINAL:
-            return _INVIS
-        nxt = node.vis + 1
-        return nxt if nxt <= self.depth - 1 else _BEYOND
-
-    def _assign_vis(self, node: _MNode, vis: int) -> None:
-        node.vis = vis
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            cv = self._child_vis(n)
-            for k in n.kids:
-                if k.vis != cv:
-                    k.vis = cv
-                    stack.append(k)
+        _mark(self.root, 0 if self.depth >= 1 else _BEYOND, self.depth)
 
     # -- rewriting ----------------------------------------------------
 
     def _fire(self, node: _MNode) -> None:
         """Rewrite the redex at `node` in place (one step)."""
-        _, delta = _instantiate(self.g, self.template(node.sym.name), node)
+        _, delta = _instantiate(self.g, self.template(node.sym.name), node, None, self.depth)
         self.size += delta
         # The node was a redex, so it was hot.  If it cooled, clear `hot`
         # upwards only as far as it flips; each check reads one node's kids.
@@ -691,15 +740,9 @@ class _Evaluator:
             while p is not None and not p.redex and not any(k.hot for k in p.kids):
                 p.hot = False
                 p = p.parent
-        self._assign_vis(node, node.vis)  # type: ignore[arg-type]
         self.steps_used += 1
         if self.size > self.budget.max_term_size:
             self.exhausted = True
-
-    def _budget_left(self) -> bool:
-        if self.steps_used >= self.budget.max_steps:
-            self.exhausted = True
-        return not self.exhausted
 
     # -- fair outermost (value tree of unrestricted/OI derivations) ----
 
@@ -718,7 +761,8 @@ class _Evaluator:
                     if n.vis == _BEYOND:
                         continue
                     if n.redex:
-                        if not self._budget_left():
+                        if self.steps_used >= self.budget.max_steps:
+                            self.exhausted = True
                             return
                         self._fire(n)
                         fired.append(n)
@@ -733,24 +777,17 @@ class _Evaluator:
 
     # -- fair parallel-innermost (IO value tree) ------------------------
 
-    @staticmethod
-    def _innermost(n: _MNode) -> bool:
-        return n.redex and not any(k.hot for k in n.kids)
-
     def _death_walk(self, node: _MNode, out: list[_MNode], round_no: int) -> None:
         p = node.parent
         while p is not None and not p.redex:
             p = p.parent
-        if (
-            p is not None
-            and self._innermost(p)
-            and p.vis != _BEYOND
-            and p.stamp != round_no
-        ):
-            p.stamp = round_no
-            out.append(p)
+        if p is not None and p.vis != _BEYOND and p.stamp != round_no:
+            if not any(k.hot for k in p.kids):
+                p.stamp = round_no
+                out.append(p)
 
     def run_innermost(self) -> None:
+        # A redex is innermost when none of its kids is hot.
         current = [self.root]
         round_no = 0
         while current:
@@ -763,8 +800,9 @@ class _Evaluator:
                         n = stack.pop()
                         if not n.hot or n.vis == _BEYOND:
                             continue
-                        if self._innermost(n):
-                            if not self._budget_left():
+                        if n.redex and not any(k.hot for k in n.kids):
+                            if self.steps_used >= self.budget.max_steps:
+                                self.exhausted = True
                                 return
                             self._fire(n)
                             if self.exhausted:

@@ -54,8 +54,20 @@ class BarContext:
 
 
 def bar_term(ctx: BarContext, t: Term) -> Term:
-    """Homomorphic image of a term under the barred symbol map."""
-    return Term(ctx.bar(t.head), tuple(bar_term(ctx, a) for a in t.args))
+    """Homomorphic image of a term under the barred symbol map, built
+    bottom-up with an explicit stack: a body may be nested deeper than the
+    recursion limit.  Heads are mapped in pre-order."""
+    done: list[Term] = []  # built images, children before parents
+    stack: list[tuple[Term, Symbol | None]] = [(t, None)]
+    while stack:
+        s, head = stack.pop()
+        if head is not None:
+            cut = len(done) - len(s.args)
+            done[cut:] = [Term(head, done[cut:])]
+            continue
+        stack.append((s, ctx.bar(s.head)))
+        stack.extend((a, None) for a in reversed(s.args))
+    return done[0]
 
 
 def make_bar_context(g: Scheme) -> BarContext:

@@ -23,6 +23,8 @@ from hors.core import (
     BOT,
     GROUND,
     NONTERMINAL,
+    TERMINAL,
+    VARIABLE,
     arity,
     arrow,
     bottom_transform,
@@ -34,6 +36,8 @@ from hors.core import (
     variable,
 )
 from hors.engine import (
+    _BEYOND,
+    _INVIS,
     UNRESTRICTED,
     RedexInfo,
     _eligible,
@@ -553,15 +557,35 @@ def _assert_nodes_fresh(g, root):
         assert n.hot == (redex or any(k.hot for k in n.kids))
 
 
+def _assert_marks_fresh(node, mark, horizon):
+    """node's mark is `mark` and every mark below it equals its value
+    recomputed top-down: invisible below a non-terminal head, beyond from
+    the horizon on along an all-terminal path."""
+    stack = [(node, mark)]
+    while stack:
+        n, vis = stack.pop()
+        assert n.vis == vis, (n.sym, n.vis, vis)
+        if vis == _BEYOND:
+            below = _BEYOND
+        elif vis == _INVIS or n.sym.kind != TERMINAL:
+            below = _INVIS
+        else:
+            below = vis + 1 if vis + 1 < horizon else _BEYOND
+        stack.extend((k, below) for k in n.kids)
+
+
 def _assert_flags_fresh(g, ev):
-    """The evaluator's flags and its running term size are current."""
+    """The evaluator's flags, marks and running term size are current."""
     _assert_nodes_fresh(g, ev.root)
+    _assert_marks_fresh(ev.root, 0, ev.depth)
     assert ev.size == _subtree_size(ev.root)
 
 
 def test_evaluator_flags_match_recomputation(corpus):
-    cases = [(g, EvalBudget(600, 20_000, 3)) for g in corpus]
-    cases += [(gen_scheme(seed), EvalBudget(250, 8_000, 3)) for seed in range(100, 160)]
+    cases = []
+    for depth in (1, 3, 5):
+        cases += [(g, EvalBudget(600, 20_000, depth)) for g in corpus]
+        cases += [(gen_scheme(s), EvalBudget(250, 8_000, depth)) for s in range(100, 160)]
     for g, budget in cases:
         for run in (_Evaluator.run_innermost, _Evaluator.run_outermost):
             ev = _Evaluator(g, g.start_term(), budget)
@@ -715,21 +739,56 @@ def _arguments(g, rule, rng):
     return args
 
 
+def _assert_static_hot(g, rule, tpl):
+    """Each operation's static `hot` flag agrees with its body subterm: set
+    when the subterm holds a redex, clear when it holds neither a redex nor
+    a parameter, and left to run time (None) only when it holds a
+    parameter."""
+    params = {p.name for p in rule.params}
+    post, stack = [], [(rule.body, False)]
+    holds = {}  # id of a subterm -> (holds a parameter, holds a redex)
+    while stack:
+        t, expanded = stack.pop()
+        if not expanded:
+            stack.append((t, True))
+            stack.extend((a, False) for a in reversed(t.args))
+            continue
+        post.append(t)
+        param = t.head.kind == VARIABLE and t.head.name in params
+        redex = t.head.kind == NONTERMINAL and t.head.name in g.rules
+        redex = redex and len(t.args) == arity(t.head.type)
+        kids = [holds[id(a)] for a in t.args]
+        holds[id(t)] = (param or any(p for p, _ in kids), redex or any(r for _, r in kids))
+    ops = tpl.ops + [tpl.root]
+    assert len(ops) == len(post), rule
+    for t, (param, _, _, _, hot, _, _) in zip(post, ops):
+        has_param, has_redex = holds[id(t)]
+        if param:
+            assert hot is None, rule
+        elif hot is None:
+            assert has_param, (rule, t)
+        else:
+            assert hot == has_redex and (hot or not has_param), (rule, t)
+
+
 def test_template_matches_instantiate_flags_and_size(corpus):
     rng = random.Random(5)
     checked = 0
+    horizon = 3
     for g in _template_corpus(corpus):
         for rule in g.rules.values():
             tpl = _Template(g, rule.params, rule.body)
-            for _ in range(3):
+            _assert_static_hot(g, rule, tpl)
+            for mark in (0, horizon - 1, _INVIS):
                 args = _arguments(g, rule, rng)
                 redex = Term(rule.lhs, tuple(args))
                 want = instantiate(rule.body, {p.name: a for p, a in zip(rule.params, args)})
-                # the instance: term, flags, size change
-                node = _MNode(rule.lhs, [_from_term(g, a) for a in args])
-                _, delta = _instantiate(g, tpl, node)
+                # the instance: term, flags, marks, size change
+                node = _MNode(rule.lhs, [_from_term(g, a) for a in args], vis=mark)
+                _, delta = _instantiate(g, tpl, node, None, horizon)
                 assert _to_term(node) == want, rule
                 _assert_nodes_fresh(g, node)
+                _assert_marks_fresh(node, mark, horizon)
                 assert delta == want.size - redex.size, rule
                 # the redex tree after `_rewrite` is the one a rescan finds
                 top = _from_term(g, redex)

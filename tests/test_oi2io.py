@@ -1,6 +1,7 @@
 """The wait-token transformation and its equivalence guarantees."""
 
 import random
+import sys
 
 import pytest
 
@@ -22,10 +23,14 @@ from hors.core import (
     GROUND,
     arity,
     arrow,
+    nonterminal,
     order,
     term_to_str,
+    terminal,
+    variable,
 )
 from hors.oi2io import bar_term, bar_type, make_bar_context
+from hors.scheme import Rule, Scheme
 
 
 
@@ -71,6 +76,37 @@ def test_bar_term_rejects_unmapped_symbols(separating, dropper):
     foreign = dropper.symbol("H")
     with pytest.raises(KeyError):
         bar_term(ctx, Term(foreign))
+
+
+def test_bar_scheme_takes_bodies_deeper_than_the_recursion_limit():
+    # S = a^1500 (F c) and F x = b x (a^1500 x), built with `Term`
+    depth = 1_500
+    a, b, c = terminal("a", arrow(O, O)), terminal("b", arrow(O, O, O)), terminal("c")
+    s, f, x = nonterminal("S"), nonterminal("F", OO), variable("x")
+
+    def nest(head, t):
+        for _ in range(depth):
+            t = Term(head, (t,))
+        return t
+
+    rules = {
+        "S": Rule(s, (), nest(a, Term(f, (Term(c),)))),
+        "F": Rule(f, (x,), Term(b, (Term(x), nest(a, Term(x))))),
+    }
+    g = Scheme({"a": a, "b": b, "c": c}, {"S": s, "F": f}, {"x": x}, rules, s).check()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)  # the interpreter's default
+    try:
+        gb = bar_scheme(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    ctx = make_bar_context(g)
+    bar = ctx.symbol_map
+    token = Term(ctx.token)
+    want_s = nest(bar["a"], Term(bar["F"], (Term(bar["c"]),)))
+    want_f = Term(bar["b"], (Term(bar["x"]), nest(bar["a"], Term(bar["x"]))))
+    assert gb.rules["S'"].body == Term(want_s.head, want_s.args + (token,))
+    assert gb.rules["F'"].body == Term(want_f.head, want_f.args + (token,))
 
 
 def test_bar_scheme_golden(separating):
