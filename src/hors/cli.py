@@ -285,8 +285,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RecursionError:
-        # Some walkers still recurse along the nesting of a term or a rule
-        # body; an input nested deeper than they reach is a domain error.
+        # The analysis's term walk (`typesys._SemWalker.walk`) and the
+        # labeling (`Labeling.plus_term`) still recurse along the nesting of
+        # a rule body, and types are read and printed recursively; a body
+        # under `analyze` or `transform --to oi`, or a type, nested deeper
+        # than they reach is a domain error.
         print(f"error: {args.input}: nested too deeply", file=sys.stderr)
         return 1
 

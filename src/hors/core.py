@@ -176,6 +176,7 @@ class Term:
     def __init__(self, head: Symbol, args: Sequence["Term"] = ()):
         args = tuple(args)
         remaining = head.type
+        size = 1
         for i, arg in enumerate(args):
             if not isinstance(remaining, Arrow):
                 raise ArityOrTypeMismatch(
@@ -183,18 +184,19 @@ class Term:
                     f"arity {arity(head.type)}",
                     position=(i + 1,),
                 )
-            if arg.type != remaining.argument:
+            want = remaining.argument
+            if arg.type is not want and arg.type != want:
                 raise ArityOrTypeMismatch(
                     f"argument {i + 1} of {head.name} has type "
-                    f"{type_to_str(arg.type)}, expected "
-                    f"{type_to_str(remaining.argument)}",
+                    f"{type_to_str(arg.type)}, expected {type_to_str(want)}",
                     position=(i + 1,),
                 )
+            size += arg.size
             remaining = remaining.result
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "type", remaining)
-        object.__setattr__(self, "size", 1 + sum(a.size for a in args))
+        object.__setattr__(self, "size", size)
         # Equal terms have equal heads, so the head's name suffices; it is
         # much cheaper to hash than the symbol with its type.
         object.__setattr__(self, "_hash", hash((head.name, args)))

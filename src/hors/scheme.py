@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     GROUND,
@@ -23,6 +24,7 @@ from .core import (
     Symbol,
     Term,
     argument_types,
+    arity,
     order,
     term_to_str,
     type_to_str,
@@ -174,11 +176,12 @@ def validate(g: Scheme) -> list[str]:
                 declared = param_names.get(sub_head.name)
                 if declared is None:
                     out.append(f"{loc}: body uses unbound variable {sub_head.name}")
-                elif declared != sub_head:
+                elif declared is not sub_head and declared != sub_head:
                     out.append(f"{loc}: variable {sub_head.name} used at wrong type")
             else:
                 table = g.terminals if sub_head.kind == TERMINAL else g.nonterminals
-                if table.get(sub_head.name) != sub_head:
+                declared = table.get(sub_head.name)
+                if declared is not sub_head and declared != sub_head:
                     out.append(f"{loc}: body uses undeclared symbol {sub_head.name}")
     return out
 
@@ -254,7 +257,7 @@ _tokenize = re.compile(r"[()]|[^\s()]+").findall
 
 
 class _TypeParser:
-    def __init__(self, tokens: list[str], line: int):
+    def __init__(self, tokens: Sequence[str], line: int):
         self.tokens = tokens
         self.pos = 0
         self.line = line
@@ -290,44 +293,67 @@ class _TypeParser:
         raise SchemeParseError(f"unexpected {tok!r} in type", self.line)
 
 
-def _parse_term(tokens: list[str], line: int, lookup) -> Term:
-    pos = 0
+def _parse_term(
+    tokens: list[str], line: int, params: dict[str, Term], leaves: dict[str, Term]
+) -> Term:
+    """One left-to-right pass over `tokens` with an explicit stack, so a
+    body of any depth is read.
 
-    def atom() -> Term:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise SchemeParseError("term ended unexpectedly", line)
-        tok = tokens[pos]
+    An open application is a frame `[head, args, remaining type]`; a frame
+    whose head is not read yet is None.  Each argument is checked against
+    the remaining type as it is appended, so errors come in token order,
+    and each application's `Term` is built once, when its frame closes.  A
+    parenthesised head, as in `(f x) y`, goes on filling its own frame.
+    A name is read as its leaf in the rule's `params`, else in `leaves`,
+    which holds one shared leaf per terminal and non-terminal.
+    """
+    stack: list[list | None] = []
+    frame: list | None = None
+    for tok in tokens:
         if tok == "(":
-            pos += 1
-            inner = app()
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise SchemeParseError("missing ) in term", line)
-            pos += 1
-            return inner
-        if tok in _RESERVED:
+            stack.append(frame)
+            frame = None
+            continue
+        if tok == ")":
+            if frame is None:
+                raise SchemeParseError("unexpected ')' in term", line)
+            if not stack:
+                raise SchemeParseError("unexpected ')' after term", line)
+            outer = stack.pop()
+            if outer is None:
+                continue  # a parenthesised head: its frame is the outer one
+            arg = Term(frame[0], frame[1])
+            frame = outer
+        elif tok in _RESERVED:
             raise SchemeParseError(f"unexpected {tok!r} in term", line)
-        pos += 1
-        sym = lookup(tok)
-        if sym is None:
-            raise SchemeParseError(f"undeclared symbol {tok!r}", line)
-        return Term(sym)
-
-    def app() -> Term:
-        nonlocal pos
-        t = atom()
-        while pos < len(tokens) and tokens[pos] != ")":
-            arg = atom()
-            try:
-                t = Term(t.head, t.args + (arg,))
-            except ArityOrTypeMismatch as e:
-                raise SchemeParseError(str(e), line) from e
-        return t
-
-    t = app()
-    if pos != len(tokens):
-        raise SchemeParseError(f"unexpected {tokens[pos]!r} after term", line)
-    return t
+        else:
+            arg = params.get(tok) or leaves.get(tok)
+            if arg is None:
+                raise SchemeParseError(f"undeclared symbol {tok!r}", line)
+            if frame is None:
+                frame = [arg.head, [], arg.type]
+                continue
+        head, args, remaining = frame
+        if not isinstance(remaining, Arrow):
+            raise SchemeParseError(
+                f"{head.name} applied to {len(args) + 1} arguments but has "
+                f"arity {arity(head.type)}",
+                line,
+            )
+        want = remaining.argument
+        if arg.type is not want and arg.type != want:
+            raise SchemeParseError(
+                f"argument {len(args) + 1} of {head.name} has type "
+                f"{type_to_str(arg.type)}, expected {type_to_str(want)}",
+                line,
+            )
+        args.append(arg)
+        frame[2] = remaining.result
+    if frame is None:
+        raise SchemeParseError("term ended unexpectedly", line)
+    if stack:
+        raise SchemeParseError("missing ) in term", line)
+    return Term(frame[0], frame[1])
 
 
 def parse(text: str) -> Scheme:
@@ -338,12 +364,14 @@ def parse(text: str) -> Scheme:
     rule_lines: list[tuple[int, list[str]]] = []
     start_name: str | None = None
     start_line = 0
+    # Each distinct type is parsed once, so equal declared types are one object.
+    types: dict[tuple[str, ...], SimpleType] = {}
 
-    def declare(table: dict[str, Symbol], sym: Symbol, line: int) -> None:
-        for other in (terminals, nonterminals, variables):
-            if sym.name in other:
-                raise SchemeParseError(f"duplicate declaration of {sym.name}", line)
-        table[sym.name] = sym
+    tables = {
+        "terminal": (TERMINAL, terminals),
+        "nonterminal": (NONTERMINAL, nonterminals),
+        "var": (VARIABLE, variables),
+    }
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -351,19 +379,24 @@ def parse(text: str) -> Scheme:
             continue
         tokens = _tokenize(stripped)
         head = tokens[0]
-        if head in ("terminal", "nonterminal", "var"):
+        if head in tables:
             if len(tokens) < 4 or tokens[2] != ":":
                 raise SchemeParseError(f"malformed {head} declaration", line_no)
             name = tokens[1]
             if name in _RESERVED:
                 raise SchemeParseError(f"reserved word {name!r} used as name", line_no)
-            ty = _TypeParser(tokens[3:], line_no).parse()
-            kind = {"terminal": TERMINAL, "nonterminal": NONTERMINAL, "var": VARIABLE}[head]
+            type_tokens = tuple(tokens[3:])
+            ty = types.get(type_tokens)
+            if ty is None:
+                ty = types[type_tokens] = _TypeParser(type_tokens, line_no).parse()
+            kind, table = tables[head]
             try:
                 sym = Symbol(name, kind, ty)
             except ArityOrTypeMismatch as e:
                 raise SchemeParseError(str(e), line_no) from e
-            declare({TERMINAL: terminals, NONTERMINAL: nonterminals, VARIABLE: variables}[kind], sym, line_no)
+            if name in terminals or name in nonterminals or name in variables:
+                raise SchemeParseError(f"duplicate declaration of {name}", line_no)
+            table[name] = sym
         elif head == "start":
             if len(tokens) != 2:
                 raise SchemeParseError("malformed start declaration", line_no)
@@ -381,6 +414,9 @@ def parse(text: str) -> Scheme:
         raise SchemeParseError(f"start symbol {start_name} not declared", start_line)
 
     rules: dict[str, Rule] = {}
+    # Terms are immutable, so every occurrence of a symbol shares one leaf.
+    leaves = {name: Term(sym) for name, sym in {**nonterminals, **terminals}.items()}
+    var_leaves = {name: Term(sym) for name, sym in variables.items()}
     for line_no, tokens in rule_lines:
         if "=" not in tokens:
             raise SchemeParseError("rule is missing =", line_no)
@@ -394,20 +430,13 @@ def parse(text: str) -> Scheme:
         if fname in rules:
             raise SchemeParseError(f"duplicate rule for {fname}", line_no)
         lhs = nonterminals[fname]
-        params = []
+        params = {}
         for pname in header[1:]:
             if pname not in variables:
                 raise SchemeParseError(f"undeclared parameter {pname}", line_no)
-            params.append(variables[pname])
-        param_map = {p.name: p for p in params}
-
-        def lookup(name: str, _pm=param_map):
-            if name in _pm:
-                return _pm[name]
-            return terminals.get(name) or nonterminals.get(name)
-
-        body = _parse_term(body_tokens, line_no, lookup)
-        rules[fname] = Rule(lhs, tuple(params), body)
+            params[pname] = var_leaves[pname]
+        body = _parse_term(body_tokens, line_no, params, leaves)
+        rules[fname] = Rule(lhs, tuple(variables[p] for p in header[1:]), body)
 
     g = Scheme(terminals, nonterminals, variables, rules, nonterminals[start_name])
     diagnostics = validate(g)

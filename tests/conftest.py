@@ -21,8 +21,11 @@ from hors import (
 )
 from hors.core import (
     Arrow,
+    ArityOrTypeMismatch,
     GROUND,
     NONTERMINAL,
+    TERMINAL,
+    VARIABLE,
     arity,
     arrow,
     bottom_transform,
@@ -33,7 +36,15 @@ from hors.core import (
 )
 from hors.engine import DerivationTrace, RedexInfo
 from hors.io2oi import Labeling
-from hors.scheme import Rule, fresh_name, reachable_nonterminals
+from hors.scheme import (
+    _RESERVED,
+    Rule,
+    SchemeParseError,
+    _tokenize,
+    _TypeParser,
+    fresh_name,
+    reachable_nonterminals,
+)
 from hors.typesys import layout
 
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
@@ -391,3 +402,126 @@ def reference_prune(g: Scheme) -> Scheme:
         {n: r for n, r in g.rules.items() if n in keep},
         g.start,
     )
+
+
+def reference_parse_term(tokens, line: int, lookup) -> Term:
+    """The recursive descent that `scheme._parse_term` replaced: it rebuilds
+    the growing application once per argument and recurses along the
+    nesting.  `lookup` maps a name to its symbol or None."""
+    pos = 0
+
+    def atom() -> Term:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise SchemeParseError("term ended unexpectedly", line)
+        tok = tokens[pos]
+        if tok == "(":
+            pos += 1
+            inner = app()
+            if pos >= len(tokens) or tokens[pos] != ")":
+                raise SchemeParseError("missing ) in term", line)
+            pos += 1
+            return inner
+        if tok in _RESERVED:
+            raise SchemeParseError(f"unexpected {tok!r} in term", line)
+        pos += 1
+        sym = lookup(tok)
+        if sym is None:
+            raise SchemeParseError(f"undeclared symbol {tok!r}", line)
+        return Term(sym)
+
+    def app() -> Term:
+        nonlocal pos
+        t = atom()
+        while pos < len(tokens) and tokens[pos] != ")":
+            arg = atom()
+            try:
+                t = Term(t.head, t.args + (arg,))
+            except ArityOrTypeMismatch as e:
+                raise SchemeParseError(str(e), line) from e
+        return t
+
+    t = app()
+    if pos != len(tokens):
+        raise SchemeParseError(f"unexpected {tokens[pos]!r} after term", line)
+    return t
+
+
+def reference_parse(text: str) -> Scheme:
+    """The reader that `parse` replaced: every declared type parsed on its
+    own, every name looked up through the symbol tables, and rule bodies
+    read by `reference_parse_term`.  `parse` must return an equal scheme or
+    raise the same error."""
+    terminals: dict[str, Symbol] = {}
+    nonterminals: dict[str, Symbol] = {}
+    variables: dict[str, Symbol] = {}
+    rule_lines: list[tuple[int, list[str]]] = []
+    start_name = None
+    start_line = 0
+    kinds = {"terminal": TERMINAL, "nonterminal": NONTERMINAL, "var": VARIABLE}
+    tables = {TERMINAL: terminals, NONTERMINAL: nonterminals, VARIABLE: variables}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("//"):
+            continue
+        tokens = _tokenize(stripped)
+        head = tokens[0]
+        if head in kinds:
+            if len(tokens) < 4 or tokens[2] != ":":
+                raise SchemeParseError(f"malformed {head} declaration", line_no)
+            name = tokens[1]
+            if name in _RESERVED:
+                raise SchemeParseError(f"reserved word {name!r} used as name", line_no)
+            ty = _TypeParser(tokens[3:], line_no).parse()
+            try:
+                sym = Symbol(name, kinds[head], ty)
+            except ArityOrTypeMismatch as e:
+                raise SchemeParseError(str(e), line_no) from e
+            for other in (terminals, nonterminals, variables):
+                if name in other:
+                    raise SchemeParseError(f"duplicate declaration of {name}", line_no)
+            tables[sym.kind][name] = sym
+        elif head == "start":
+            if len(tokens) != 2:
+                raise SchemeParseError("malformed start declaration", line_no)
+            if start_name is not None:
+                raise SchemeParseError("duplicate start declaration", line_no)
+            start_name, start_line = tokens[1], line_no
+        elif head == "rule":
+            rule_lines.append((line_no, tokens[1:]))
+        else:
+            raise SchemeParseError(f"unknown declaration {head!r}", line_no)
+    if start_name is None:
+        raise SchemeParseError("missing start declaration")
+    if start_name not in nonterminals:
+        raise SchemeParseError(f"start symbol {start_name} not declared", start_line)
+
+    rules: dict[str, Rule] = {}
+    for line_no, tokens in rule_lines:
+        if "=" not in tokens:
+            raise SchemeParseError("rule is missing =", line_no)
+        eq = tokens.index("=")
+        header, body_tokens = tokens[:eq], tokens[eq + 1 :]
+        if not header:
+            raise SchemeParseError("rule is missing its non-terminal", line_no)
+        fname = header[0]
+        if fname not in nonterminals:
+            raise SchemeParseError(f"rule for undeclared non-terminal {fname}", line_no)
+        if fname in rules:
+            raise SchemeParseError(f"duplicate rule for {fname}", line_no)
+        params = []
+        for pname in header[1:]:
+            if pname not in variables:
+                raise SchemeParseError(f"undeclared parameter {pname}", line_no)
+            params.append(variables[pname])
+        param_map = {p.name: p for p in params}
+
+        def lookup(name, _pm=param_map):
+            if name in _pm:
+                return _pm[name]
+            return terminals.get(name) or nonterminals.get(name)
+
+        body = reference_parse_term(body_tokens, line_no, lookup)
+        rules[fname] = Rule(nonterminals[fname], tuple(params), body)
+    g = Scheme(terminals, nonterminals, variables, rules, nonterminals[start_name])
+    return g.check()

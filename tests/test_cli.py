@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hors import EvalBudget, render, value_tree_report
+from hors import EvalBudget, parse, render, value_tree_report
 from hors.cli import main
 
 from conftest import SCHEMES_DIR, load_scheme, reference_derive
@@ -227,6 +227,30 @@ def test_deeply_nested_input_is_a_domain_error(argv, tmp_path, capsys):
     if code == 1:
         assert err.startswith("error: ") and err.endswith("nested too deeply\n")
         assert err.count("\n") == 1
+
+
+def test_deep_bodies_are_read(tmp_path, capsys):
+    """The parser, validation, both evaluators, `derive` and `bar_scheme`
+    take a rule body nested deeper than the recursion limit."""
+    depth = 1_500
+    body = "a (" * depth + "c" + ")" * depth
+    path = tmp_path / "deep.hors"
+    path.write_text(
+        "terminal a : o -> o\nterminal c : o\nnonterminal S : o\nstart S\n"
+        f"rule S = {body}\n",
+        encoding="utf-8",
+    )
+    assert run(capsys, "check", str(path)) == (0, "ok: order 0, 1 nonterminals\n", "")
+    prefix = "".join("  " * i + "a\n" for i in range(4)) + "  " * 4 + "⊥\n"
+    for policy in ("io", "oi"):
+        got = run(capsys, "valuetree", str(path), "--policy", policy, "--depth", "4")
+        assert got == (0, prefix, ""), policy
+    final = "a (" * (depth - 1) + "a c" + ")" * (depth - 1) + "\n"
+    assert run(capsys, "derive", str(path), "--policy", "io") == (0, final, "")
+    code, out, err = run(capsys, "transform", str(path), "--to", "io")
+    assert (code, err) == (0, "")
+    barred = parse(out)
+    assert max(rule.body.size for rule in barred.rules.values()) > depth
 
 
 def test_analyze_text(capsys):

@@ -3,6 +3,8 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hors import (
     ArityOrTypeMismatch,
@@ -26,9 +28,16 @@ from hors.core import (
     terminal,
     variable,
 )
-from hors.scheme import Rule
+from hors.scheme import _RESERVED, Rule, _tokenize
 
-from conftest import CORPUS_SEEDS, SCHEMES_DIR, gen_scheme, reference_prune, twice_scheme
+from conftest import (
+    CORPUS_SEEDS,
+    SCHEMES_DIR,
+    gen_scheme,
+    reference_parse,
+    reference_prune,
+    twice_scheme,
+)
 
 O = GROUND
 OO = arrow(O, O)
@@ -246,7 +255,6 @@ def _reference_tokenize(text: str) -> list[str]:
 
 def test_tokenizer_matches_the_character_loop(separating, dropper):
     from hors import label_scheme, self_correct_report
-    from hors.scheme import _tokenize
 
     texts = [path.read_text(encoding="utf-8") for path in sorted(SCHEMES_DIR.glob("*.hors"))]
     for g in (separating, dropper, twice_scheme()):
@@ -257,3 +265,80 @@ def test_tokenizer_matches_the_character_loop(separating, dropper):
     for text in texts:
         for line in [text, *text.splitlines()]:
             assert _tokenize(line) == _reference_tokenize(line)
+
+
+def _outcome(read, text):
+    """The scheme `read` returns, or the class and message of what it raises."""
+    try:
+        return read(text)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _assert_reads_like_the_oracle(text):
+    got, want = _outcome(parse, text), _outcome(reference_parse, text)
+    assert got == want, text
+
+
+_SHIPPED_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(SCHEMES_DIR.glob("*.hors"))]
+_DRAWN_TEXTS = [render(gen_scheme(seed)) for seed in range(1, 61)]
+
+
+def test_parser_matches_the_recursive_oracle_on_the_corpus():
+    for text in _SHIPPED_TEXTS + _DRAWN_TEXTS:
+        _assert_reads_like_the_oracle(text)
+
+
+_MUTATIONS = ("open", "close", "drop_paren", "reserved", "undeclared", "name", "truncate")
+_WORDS = sorted(_RESERVED - {"(", ")"})
+
+
+@st.composite
+def _mutated_texts(draw):
+    """A shipped or drawn scheme with one rule body mutated one to three
+    times: stray or missing parentheses, reserved words, undeclared names,
+    declared names where they give excess or wrong-typed arguments, and
+    truncation.  One draw in four also declares a name a second time."""
+    lines = draw(st.sampled_from(_SHIPPED_TEXTS + _DRAWN_TEXTS[:20])).splitlines()
+    tokenized = [_tokenize(ln) for ln in lines]
+    names = sorted({t[1] for t in tokenized if t[:1] in (["terminal"], ["nonterminal"], ["var"])})
+    i = draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.startswith("rule ")]))
+    tokens = _tokenize(lines[i])
+    eq = tokens.index("=") + 1
+    body = tokens[eq:]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(_MUTATIONS))
+        pos = draw(st.integers(0, len(body)))
+        if kind == "open":
+            body.insert(pos, "(")
+        elif kind == "close":
+            body.insert(pos, ")")
+        elif kind == "drop_paren":
+            parens = [j for j, tok in enumerate(body) if tok in "()"]
+            if parens:
+                del body[draw(st.sampled_from(parens))]
+        elif kind == "reserved":
+            body.insert(pos, draw(st.sampled_from(_WORDS)))
+        elif kind == "undeclared":
+            body.insert(pos, "Undeclared")
+        elif kind == "name":
+            body.insert(pos, draw(st.sampled_from(names)))
+        else:
+            del body[pos:]
+    lines[i] = " ".join(tokens[:eq] + body)
+    redeclared = draw(st.sampled_from([None, "terminal", "nonterminal", "var"]))
+    if redeclared:
+        lines.insert(draw(st.integers(0, len(lines))), f"{redeclared} {draw(st.sampled_from(names))} : o")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400)
+@given(_mutated_texts())
+def test_parser_matches_the_recursive_oracle_on_mutated_bodies(text):
+    _assert_reads_like_the_oracle(text)
+
+
+def test_equal_declared_types_are_one_object(order3):
+    g = parse(render(order3))
+    types = [s.type for table in (g.terminals, g.nonterminals, g.variables) for s in table.values()]
+    assert len({id(t) for t in types}) == len(set(types)) < len(types)
