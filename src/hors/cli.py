@@ -23,7 +23,7 @@ from .scheme import (
     scheme_order,
     validate,
 )
-from .typesys import Analysis, ArrowMap, Atom, Conj, QBot, QInf
+from .typesys import Analysis, Layout, _bit_indices, layout
 
 SCHEMA_TREE = "hors.tree/1"
 SCHEMA_ANALYSIS = "hors.analysis/1"
@@ -79,26 +79,48 @@ def tree_json_text(t: PartialTree) -> str:
     return "".join(parts)
 
 
-def atom_text(a: Atom) -> str:
-    if isinstance(a, QBot):
-        return "q⊥"
-    if isinstance(a, QInf):
-        return "q∞"
-    assert isinstance(a, ArrowMap)
-    return f"{conj_text(a.argument)} -> {atom_text(a.result)}"
+def _entry_printer(structured: bool):
+    """A printer of fixpoint entries, `(layout, mask) -> text`, for one call.
 
+    Bit order is `Conj` order, so an entry is a join over its set bits.  An
+    arrow atom is the head of its argument conjunction followed by its
+    result atom: `{args} -> result`, or `{"arg": [args], "res": result}` as
+    `json.dumps` with sorted keys writes it.  Heads and atoms of argument and
+    result layouts are tabled once; an entry's own layout is printed for
+    its set bits only, so a wide type costs what it prints.
+    """
+    if structured:
+        ground, brackets = ('"q_bot"', '"q_inf"'), "[]"
+        open_, mid, close = '{"arg": [', '], "res": ', "}"
+    else:
+        ground, brackets = ("q⊥", "q∞"), "{}"
+        open_, mid, close = "{", "} -> ", ""
+    heads: dict[Layout, list[str]] = {}
+    atoms: dict[Layout, list[str]] = {}
 
-def conj_text(c: Conj) -> str:
-    return "{" + ", ".join(atom_text(a) for a in c) + "}"
+    def fragments(lay: Layout, bits) -> list[str]:
+        if lay.result is None:
+            return [ground[i] for i in bits]
+        if lay not in heads:
+            arg = atom_table(lay.argument)
+            heads[lay] = [
+                open_ + ", ".join([arg[i] for i in _bit_indices(m)]) + mid for m in lay.conjs
+            ]
+        head, res, width = heads[lay], atom_table(lay.result), lay.result.n
+        return [
+            head[(i - 1) // width] + res[(i - 1) % width] + close if i else ground[1]
+            for i in bits
+        ]
 
+    def atom_table(lay: Layout) -> list[str]:
+        if lay not in atoms:
+            atoms[lay] = fragments(lay, range(lay.n))
+        return atoms[lay]
 
-def atom_json(a: Atom):
-    if isinstance(a, QBot):
-        return "q_bot"
-    if isinstance(a, QInf):
-        return "q_inf"
-    assert isinstance(a, ArrowMap)
-    return {"arg": [atom_json(x) for x in a.argument], "res": atom_json(a.result)}
+    def entry(lay: Layout, mask: int) -> str:
+        return brackets[0] + ", ".join(fragments(lay, _bit_indices(mask))) + brackets[1]
+
+    return entry
 
 
 def _position_text(position: tuple[int, ...]) -> str:
@@ -179,22 +201,23 @@ def cmd_valuetree(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _read_scheme(args.input)
     analysis = Analysis(g)
-    if args.format == "structured":
-        payload = {
-            "schema": SCHEMA_ANALYSIS,
-            "iterations": analysis.iterations,
-            "nonterminals": {
-                name: [atom_json(a) for a in analysis.env.entries[name]]
-                for name in sorted(g.nonterminals)
-            },
-        }
-        _write_out(json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n", args.out)
+    structured = args.format == "structured"
+    entry = _entry_printer(structured)
+    names = sorted(g.nonterminals)
+    entries = [entry(layout(g.nonterminals[n].type), analysis.masks[n]) for n in names]
+    if structured:
+        # `json.dumps(payload, sort_keys=True, ensure_ascii=False)`, written
+        # from the printed entries.
+        body = ", ".join(
+            f"{json.dumps(n, ensure_ascii=False)}: {e}" for n, e in zip(names, entries)
+        )
+        text = (
+            f'{{"iterations": {analysis.iterations}, "nonterminals": {{{body}}}, '
+            f'"schema": {json.dumps(SCHEMA_ANALYSIS)}}}\n'
+        )
     else:
-        lines = [
-            f"{name} :: {conj_text(analysis.env.entries[name])}"
-            for name in sorted(g.nonterminals)
-        ]
-        _write_out("\n".join(lines) + "\n", args.out)
+        text = "\n".join(f"{n} :: {e}" for n, e in zip(names, entries)) + "\n"
+    _write_out(text, args.out)
     return 0
 
 

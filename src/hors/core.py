@@ -241,9 +241,6 @@ class Term:
     def __repr__(self) -> str:
         return f"Term({term_to_str(self)})"
 
-    def is_ground(self) -> bool:
-        return self.type == GROUND
-
 
 def term_to_str(t: Term) -> str:
     """Render in applicative notation, parenthesizing compound arguments."""
@@ -354,18 +351,6 @@ def instantiate(t: Term, mapping: Mapping[str, Term]) -> Term:
     return done[id(t)]
 
 
-def substitute(t: Term, x: Symbol, s: Term) -> Term:
-    """Replace every occurrence of the variable x in t by s."""
-    if x.kind != VARIABLE:
-        raise ArityOrTypeMismatch(f"{x.name} is not a variable")
-    if s.type != x.type:
-        raise ArityOrTypeMismatch(
-            f"cannot substitute {term_to_str(s)} : {type_to_str(s.type)} "
-            f"for {x.name} : {type_to_str(x.type)}"
-        )
-    return instantiate(t, {x.name: s})
-
-
 # ---------------------------------------------------------------------------
 # Partial trees
 
@@ -418,9 +403,6 @@ class PartialTree:
                 return False
             stack.extend(zip(a.children, b.children))
         return True
-
-    def is_bottom(self) -> bool:
-        return self.label is None
 
     def __str__(self) -> str:
         return tree_to_str(self)

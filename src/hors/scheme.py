@@ -80,9 +80,6 @@ class Scheme:
                 return table[name]
         return None
 
-    def rule_for(self, name: str) -> Rule | None:
-        return self.rules.get(name)
-
     def start_term(self) -> Term:
         return Term(self.start)
 

@@ -34,8 +34,9 @@ to `Conj` only at the output boundary (`Analysis.env`,
 `Analysis.semantics`), once per distinct (type, mask).
 
 Feasibility is decided by arithmetic before anything is enumerated:
-`|A(o)| = 2` and `|A(s -> t)| = 1 + 2^|A(s)| * |A(t)|` (`atom_count`), and
-an argument type with more than MAX_ENUM_ATOMS atoms is refused.
+`|A(o)| = 2` and `|A(s -> t)| = 1 + 2^|A(s)| * |A(t)|` (`atom_count`).  An
+argument type with more than MAX_ENUM_ATOMS atoms is refused, and so is a
+non-terminal type with more than MAX_ENTRY_ATOMS atoms.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ from .scheme import Scheme
 
 # Refuse to enumerate conjunction lattices beyond this many atoms (2^n sets).
 MAX_ENUM_ATOMS = 16
+# Refuse a non-terminal type beyond this many atoms: its entry is one bit per
+# atom, and its fixpoint walks every tuple of argument conjunctions.
+MAX_ENTRY_ATOMS = 1 << 20
 
 
 class AnalysisInfeasible(HorsError):
@@ -683,21 +687,12 @@ def step_F(g: Scheme, env: Env) -> Env:
     return Env({name: layouts[name].decode(m) for name, m in out.items()})
 
 
-def initial_env(g: Scheme) -> Env:
-    """The full assignment: every fitting atom for every non-terminal."""
-    return Env({name: Conj(enum_atoms(f.type)) for name, f in g.nonterminals.items()})
-
-
-def theta_star(g: Scheme) -> Env:
-    """The greatest environment closed under the judgement rules."""
-    return Analysis(g).env
-
-
 class Analysis:
     """Fixpoint analysis of one scheme plus memoized term semantics.
 
     Feasibility is checked before anything is enumerated: every non-terminal
-    needs a rule, and every argument type at most MAX_ENUM_ATOMS atoms.
+    needs a rule, every argument type at most MAX_ENUM_ATOMS atoms, and every
+    non-terminal type at most MAX_ENTRY_ATOMS.
     `masks` holds the fixpoint; `env` decodes it.
 
     Not safe to share across threads: the memo table is unsynchronized.
@@ -706,7 +701,15 @@ class Analysis:
     def __init__(self, g: Scheme, max_iterations: int | None = None):
         self.scheme = g
         _require_rules(g)
-        bound = sum(atom_count(f.type) for f in g.nonterminals.values())
+        bound = 0
+        for name, f in g.nonterminals.items():
+            n = atom_count(f.type)
+            if n > MAX_ENTRY_ATOMS:
+                raise AnalysisInfeasible(
+                    f"non-terminal {name} : {type_to_str(f.type)} has {n} atoms; "
+                    f"an entry of more than {MAX_ENTRY_ATOMS} atoms is not feasible"
+                )
+            bound += n
         limit = max_iterations if max_iterations is not None else bound + 1
         tables: dict = {}
         masks = {name: layout(f.type).full for name, f in g.nonterminals.items()}
@@ -785,8 +788,3 @@ def _free_variables(t: Term) -> dict[str, Symbol]:
             out[node.head.name] = node.head
         stack.extend(node.args)
     return out
-
-
-def semantics(g: Scheme, t: Term, venv: Mapping[str, Conj] | None = None) -> Conj:
-    """One-shot term semantics; prefer `Analysis` when calling repeatedly."""
-    return Analysis(g).semantics(t, venv)

@@ -3,6 +3,7 @@ generator for corpus-based properties, and slow oracle helpers."""
 
 from __future__ import annotations
 
+import json
 import random
 from functools import lru_cache
 from pathlib import Path
@@ -29,9 +30,12 @@ from hors.core import (
     arity,
     arrow,
     bottom_transform,
+    instantiate,
     nonterminal,
+    term_to_str,
     terminal,
     truncate,
+    type_to_str,
     variable,
 )
 from hors.engine import DerivationTrace, RedexInfo
@@ -45,7 +49,17 @@ from hors.scheme import (
     fresh_name,
     reachable_nonterminals,
 )
-from hors.typesys import layout
+from hors.typesys import (
+    Analysis,
+    ArrowMap,
+    Atom,
+    Conj,
+    Env,
+    QBot,
+    QInf,
+    enum_atoms,
+    layout,
+)
 
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
 
@@ -525,3 +539,72 @@ def reference_parse(text: str) -> Scheme:
         rules[fname] = Rule(nonterminals[fname], tuple(params), body)
     g = Scheme(terminals, nonterminals, variables, rules, nonterminals[start_name])
     return g.check()
+
+
+def substitute(t: Term, x: Symbol, s: Term) -> Term:
+    """Replace every occurrence of the variable x in t by s."""
+    if x.kind != VARIABLE:
+        raise ArityOrTypeMismatch(f"{x.name} is not a variable")
+    if s.type != x.type:
+        raise ArityOrTypeMismatch(
+            f"cannot substitute {term_to_str(s)} : {type_to_str(s.type)} "
+            f"for {x.name} : {type_to_str(x.type)}"
+        )
+    return instantiate(t, {x.name: s})
+
+
+# ---------------------------------------------------------------------------
+# The analysis on objects
+
+
+def initial_env(g: Scheme) -> Env:
+    """The full assignment: every fitting atom for every non-terminal."""
+    return Env({name: Conj(enum_atoms(f.type)) for name, f in g.nonterminals.items()})
+
+
+def theta_star(g: Scheme) -> Env:
+    """The greatest environment closed under the judgement rules."""
+    return Analysis(g).env
+
+
+def semantics(g: Scheme, t: Term, venv=None) -> Conj:
+    """One-shot term semantics on `Conj` objects."""
+    return Analysis(g).semantics(t, venv)
+
+
+def atom_text(a: Atom) -> str:
+    if isinstance(a, QBot):
+        return "q⊥"
+    if isinstance(a, QInf):
+        return "q∞"
+    assert isinstance(a, ArrowMap)
+    return f"{conj_text(a.argument)} -> {atom_text(a.result)}"
+
+
+def conj_text(c: Conj) -> str:
+    return "{" + ", ".join(atom_text(a) for a in c) + "}"
+
+
+def atom_json(a: Atom):
+    if isinstance(a, QBot):
+        return "q_bot"
+    if isinstance(a, QInf):
+        return "q_inf"
+    assert isinstance(a, ArrowMap)
+    return {"arg": [atom_json(x) for x in a.argument], "res": atom_json(a.result)}
+
+
+def reference_analyze_output(g: Scheme) -> tuple[str, str]:
+    """What `hors analyze` printed, as text and as structured output, when
+    it decoded the fixpoint into `Conj` and `ArrowMap` objects: the route
+    its output must stay byte-equal to."""
+    analysis = Analysis(g)
+    names = sorted(g.nonterminals)
+    entries = analysis.env.entries
+    text = "\n".join(f"{name} :: {conj_text(entries[name])}" for name in names) + "\n"
+    payload = {
+        "schema": "hors.analysis/1",
+        "iterations": analysis.iterations,
+        "nonterminals": {name: [atom_json(a) for a in entries[name]] for name in names},
+    }
+    return text, json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"

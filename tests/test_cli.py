@@ -1,13 +1,22 @@
 """The command-line driver: outputs, exit codes, pipelines, determinism."""
 
 import json
+import time
 
 import pytest
 
 from hors import EvalBudget, parse, render, value_tree_report
 from hors.cli import main
+from hors.typesys import atom_count
 
-from conftest import SCHEMES_DIR, load_scheme, reference_derive
+from conftest import (
+    SCHEMES_DIR,
+    _analysis_safe,
+    gen_scheme,
+    load_scheme,
+    reference_analyze_output,
+    reference_derive,
+)
 
 ORDER3 = str(SCHEMES_DIR / "order3.hors")
 SEPARATING = str(SCHEMES_DIR / "separating.hors")
@@ -274,7 +283,50 @@ def test_analyze_structured(capsys):
 def test_analyze_infeasible_is_domain_error(capsys):
     code, out, err = run(capsys, "analyze", ORDER3)
     assert code == 1
-    assert "error" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_analyze_prints_what_the_object_route_printed(analysis_corpus, tmp_path, capsys):
+    """`hors analyze` prints from the fixpoint masks; both formats must be
+    byte-equal to decoding every entry into `Conj` and `ArrowMap` objects
+    and printing those, in `Conj` order and through `json.dumps`."""
+    extra = [gen_scheme(seed) for seed in range(18, 31)]
+    schemes = analysis_corpus + [g for g in extra if _analysis_safe(g)]
+    widest = max(atom_count(nt.type) for g in schemes for nt in g.nonterminals.values())
+    assert widest == 4_609  # a (o -> o) -> o -> o non-terminal
+    assert len(schemes) >= 30
+    for i, g in enumerate(schemes):
+        path = tmp_path / f"g{i}.hors"
+        path.write_text(render(g), encoding="utf-8")
+        for fmt, want in zip(("text", "structured"), reference_analyze_output(g)):
+            assert run(capsys, "analyze", str(path), "--format", fmt) == (0, want, ""), (i, fmt)
+
+
+@pytest.mark.parametrize("width", [3, 4])
+@pytest.mark.parametrize("argv", [["analyze"], ["transform", "--to", "oi"]])
+def test_wide_entry_types_are_refused_at_once(width, argv, tmp_path, capsys):
+    """A non-terminal of type (o -> o) -> .. -> (o -> o) -> o with three
+    parameters has 268,698,113 atoms, with four 137,573,433,857: its entry
+    alone would not fit, so both commands refuse it before allocating."""
+    params = [f"f{i}" for i in range(width)]
+    path = tmp_path / "wide.hors"
+    path.write_text(
+        "terminal a : o -> o\nterminal c : o\nnonterminal S : o\n"
+        f"nonterminal F : {'(o -> o) -> ' * width}o\n"
+        + "".join(f"var {p} : o -> o\n" for p in params)
+        + "start S\n"
+        + f"rule S = F{' a' * width}\n"
+        + f"rule F {' '.join(params)} = {' ('.join(params)} c{')' * (width - 1)}\n",
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: non-terminal F : (o -> o) -> ") and err.count("\n") == 1
+    assert err.endswith("atoms is not feasible\n")
 
 
 def test_transform_to_io_pipeline(tmp_path, capsys):

@@ -22,7 +22,6 @@ from hors.core import (
     order,
     positions,
     replace_at,
-    substitute,
     subterm_at,
     term_to_str,
     terminal,
@@ -34,6 +33,8 @@ from hors.core import (
     type_to_str,
     variable,
 )
+
+from conftest import substitute
 
 O = GROUND
 OO = arrow(O, O)

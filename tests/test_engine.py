@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hors import (
     EvalBudget,
@@ -306,6 +308,18 @@ def test_io_below_oi_on_corpus(corpus):
         oi_rep = value_tree_report(g, "oi", EvalBudget(10_000, 100_000, 3))
         if not oi_rep.exhausted:
             assert tree_leq(io_rep.tree, oi_rep.tree), render_name(g)
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=1, max_value=100_000))
+def test_io_below_oi_on_drawn_schemes(seed):
+    """IO ⊑ OI: the IO prefix sits below the OI prefix wherever the OI run
+    finished, so that its prefix is the exact truncated OI value tree."""
+    g = gen_scheme(seed)
+    io_rep = value_tree_report(g, "io", EvalBudget(1500, 100_000, 3))
+    oi_rep = value_tree_report(g, "oi", EvalBudget(10_000, 100_000, 3))
+    if not oi_rep.exhausted:
+        assert tree_leq(io_rep.tree, oi_rep.tree), seed
 
 
 def render_name(g):

@@ -23,6 +23,7 @@ from hors import (
 )
 from hors.core import Arrow, BOT, GROUND, argument_types, arrow, terminal, variable
 from hors.typesys import (
+    MAX_ENTRY_ATOMS,
     ArrowMap,
     Conj,
     Env,
@@ -33,14 +34,20 @@ from hors.typesys import (
     conj_masks,
     enum_atoms,
     enum_conj,
-    initial_env,
     layout,
-    semantics,
     step_F,
-    theta_star,
 )
 
-from conftest import _analysis_safe, _candidates, applier_scheme, gen_scheme, twice_scheme
+from conftest import (
+    _analysis_safe,
+    _candidates,
+    applier_scheme,
+    gen_scheme,
+    initial_env,
+    semantics,
+    theta_star,
+    twice_scheme,
+)
 
 O = GROUND
 OO = arrow(O, O)
@@ -124,6 +131,11 @@ def test_atom_count_matches_enumeration():
                 assert atom_count(t) == want
 
 
+def test_entry_bound_admits_two_unary_function_parameters():
+    assert atom_count(arrow(OO, OO, O)) == 524_801 <= MAX_ENTRY_ATOMS
+    assert atom_count(arrow(OO, OO, OO, O)) == 268_698_113 > MAX_ENTRY_ATOMS
+
+
 def test_barred_scheme_is_refused_before_enumeration(separating):
     barred = bar_scheme(separating)
     wide = arrow(OO, OO, O, O)
@@ -145,6 +157,8 @@ def test_layout_follows_the_canonical_order():
         assert [lay.atom(i) for i in range(lay.n)] == list(atoms)
         assert [lay.index(a) for a in atoms] == list(range(lay.n))
         assert lay.decode(lay.full) == Conj(atoms)
+        # bit order is `Conj` order, which `hors analyze` prints in
+        assert list(Conj(atoms)) == list(atoms)
         assert lay.decode(lay.arrow_inf) == (conj(ARROW_INF) if isinstance(t, Arrow) else conj())
     for t in (O, OO):
         assert [layout(t).decode(m) for m in conj_masks(t)] == list(enum_conj(t))
