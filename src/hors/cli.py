@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from .core import HorsError, PartialTree
 from .engine import (
@@ -27,6 +29,8 @@ from .typesys import Analysis, Layout, _bit_indices, layout
 
 SCHEMA_TREE = "hors.tree/1"
 SCHEMA_ANALYSIS = "hors.analysis/1"
+# `analyze` writes an entry in pieces of at most this many atoms.
+_PIECE_ATOMS = 4096
 
 _POLICY = {"oi": "oi", "io": "io", "any": "unrestricted"}
 
@@ -36,12 +40,19 @@ def _read_scheme(path: str) -> Scheme:
         return parse(fh.read())
 
 
-def _write_out(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None) -> Iterator[Callable[[str], object]]:
+    """The `write` of stdout, or of the `--out` file, open for the block."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh.write
+
+
+def _write_out(text: str, out: str | None) -> None:
+    with _output(out) as write:
+        write(text)
 
 
 def tree_text(t: PartialTree) -> str:
@@ -80,14 +91,16 @@ def tree_json_text(t: PartialTree) -> str:
 
 
 def _entry_printer(structured: bool):
-    """A printer of fixpoint entries, `(layout, mask) -> text`, for one call.
+    """A printer of fixpoint entries for one call: `(layout, mask)` to the
+    pieces of the entry's text, in order.
 
     Bit order is `Conj` order, so an entry is a join over its set bits.  An
     arrow atom is the head of its argument conjunction followed by its
     result atom: `{args} -> result`, or `{"arg": [args], "res": result}` as
     `json.dumps` with sorted keys writes it.  Heads and atoms of argument and
     result layouts are tabled once; an entry's own layout is printed for
-    its set bits only, so a wide type costs what it prints.
+    its set bits only, so a wide type costs what it prints.  A piece joins
+    at most `_PIECE_ATOMS` atoms, so a wide entry is never held whole.
     """
     if structured:
         ground, brackets = ('"q_bot"', '"q_inf"'), "[]"
@@ -117,8 +130,13 @@ def _entry_printer(structured: bool):
             atoms[lay] = fragments(lay, range(lay.n))
         return atoms[lay]
 
-    def entry(lay: Layout, mask: int) -> str:
-        return brackets[0] + ", ".join(fragments(lay, _bit_indices(mask))) + brackets[1]
+    def entry(lay: Layout, mask: int) -> Iterator[str]:
+        bits = _bit_indices(mask)
+        yield brackets[0]
+        for start in range(0, len(bits), _PIECE_ATOMS):
+            part = ", ".join(fragments(lay, bits[start : start + _PIECE_ATOMS]))
+            yield ", " + part if start else part
+        yield brackets[1]
 
     return entry
 
@@ -204,20 +222,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     structured = args.format == "structured"
     entry = _entry_printer(structured)
     names = sorted(g.nonterminals)
-    entries = [entry(layout(g.nonterminals[n].type), analysis.masks[n]) for n in names]
-    if structured:
-        # `json.dumps(payload, sort_keys=True, ensure_ascii=False)`, written
-        # from the printed entries.
-        body = ", ".join(
-            f"{json.dumps(n, ensure_ascii=False)}: {e}" for n, e in zip(names, entries)
-        )
-        text = (
-            f'{{"iterations": {analysis.iterations}, "nonterminals": {{{body}}}, '
-            f'"schema": {json.dumps(SCHEMA_ANALYSIS)}}}\n'
-        )
-    else:
-        text = "\n".join(f"{n} :: {e}" for n, e in zip(names, entries)) + "\n"
-    _write_out(text, args.out)
+    # Each entry is written piece by piece as it is formed, so no more than
+    # one piece of the output is held at a time.
+    with _output(args.out) as write:
+        if structured:
+            # `json.dumps(payload, sort_keys=True, ensure_ascii=False)`,
+            # written from the printed entries.
+            write(f'{{"iterations": {analysis.iterations}, "nonterminals": {{')
+        for i, n in enumerate(names):
+            if structured:
+                write(f'{", " if i else ""}{json.dumps(n, ensure_ascii=False)}: ')
+            else:
+                write(f"{n} :: ")
+            for piece in entry(layout(g.nonterminals[n].type), analysis.masks[n]):
+                write(piece)
+            if not structured:
+                write("\n")
+        if structured:
+            write(f'}}, "schema": {json.dumps(SCHEMA_ANALYSIS)}}}\n')
     return 0
 
 
@@ -308,11 +330,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RecursionError:
-        # The analysis's term walk (`typesys._SemWalker.walk`) and the
-        # labeling (`Labeling.plus_term`) still recurse along the nesting of
-        # a rule body, and types are read and printed recursively; a body
-        # under `analyze` or `transform --to oi`, or a type, nested deeper
-        # than they reach is a domain error.
+        # Types are still read (`scheme._TypeParser`) and printed
+        # (`type_to_str`) recursively; a type nested deeper than they reach
+        # is a domain error.
         print(f"error: {args.input}: nested too deeply", file=sys.stderr)
         return 1
 

@@ -137,17 +137,38 @@ class Labeling:
         Terminals stay themselves; a non-terminal or variable head becomes
         the copy annotated with the semantics of its arguments followed by
         `annotation`; each argument is duplicated once per annotation tuple
-        of its type.
+        of its type.  The copies of an argument differ only in their head,
+        so they share the images of its own arguments.  One loop with an
+        explicit stack builds them, so a term of any depth is labeled.
         """
-        head = t.head
-        if head.kind != TERMINAL:
-            semantics = self.analysis.semantics_mask
-            full = tuple(semantics(a, venv) for a in t.args) + annotation
-            table = self.nt_ann if head.kind == NONTERMINAL else self.var_ann
-            head = table[(head.name, full)]
-        return Term(head, tuple(
-            self.plus_term(a, venv, tup) for a in t.args for tup in mask_tuples(a.type)
-        ))
+        semantics = self.analysis.semantics_mask
+        # id(subterm) -> (semantics of its arguments, images of its arguments)
+        done: dict[int, tuple[tuple[int, ...], tuple[Term, ...]]] = {}
+
+        def image(node: Term, ann: tuple[int, ...]) -> Term:
+            sems, kids = done[id(node)]
+            head = node.head
+            if head.kind != TERMINAL:
+                table = self.nt_ann if head.kind == NONTERMINAL else self.var_ann
+                head = table[(head.name, sems + ann)]
+            return Term(head, kids)
+
+        stack: list[tuple[Term, bool]] = [(t, False)]
+        while stack:
+            node, ready = stack.pop()
+            if id(node) in done:
+                continue
+            if not ready:
+                stack.append((node, True))
+                stack.extend((a, False) for a in node.args)
+                continue
+            sems = () if node.head.kind == TERMINAL else tuple(
+                semantics(a, venv) for a in node.args
+            )
+            done[id(node)] = sems, tuple(
+                image(a, tup) for a in node.args for tup in mask_tuples(a.type)
+            )
+        return image(t, annotation)
 
     def params(self, base_rule: Rule) -> tuple[Symbol, ...]:
         """The parameters of every copy of a rule: each base parameter once

@@ -33,6 +33,18 @@ mask (`Layout.results`), and is then one list lookup.  Masks are decoded
 to `Conj` only at the output boundary (`Analysis.env`,
 `Analysis.semantics`), once per distinct (type, mask).
 
+Terms are evaluated by compiled programs, not by walking them.  `_Compiler`
+turns a term, in one loop, into a flat postfix list of mask operations
+over its free variables: a terminal's constant mask, a non-terminal's
+entry, a parameter, or one `Layout.results` lookup.  Operations that read
+no parameter are split from those that do.  The fixpoint runs a rule's
+parameter-free operations once per iteration and the others once per tuple
+of argument conjunctions; a body root that reads no parameter sets the bits
+of every chain at once.  A rule runs again only when a non-terminal its
+body names dropped in the previous iteration.  The chain masks of the
+argument clauses and of a terminal are products of per-argument masks
+(`_inf_chains`), so no chain is enumerated for them.
+
 Feasibility is decided by arithmetic before anything is enumerated:
 `|A(o)| = 2` and `|A(s -> t)| = 1 + 2^|A(s)| * |A(t)|` (`atom_count`).  An
 argument type with more than MAX_ENUM_ATOMS atoms is refused, and so is a
@@ -43,9 +55,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
+    NONTERMINAL,
     TERMINAL,
     VARIABLE,
     Arrow,
@@ -62,7 +75,8 @@ from .scheme import Scheme
 # Refuse to enumerate conjunction lattices beyond this many atoms (2^n sets).
 MAX_ENUM_ATOMS = 16
 # Refuse a non-terminal type beyond this many atoms: its entry is one bit per
-# atom, and its fixpoint walks every tuple of argument conjunctions.
+# atom, and each fixpoint iteration runs the parameter-dependent operations
+# of its rule once per tuple of argument conjunctions.
 MAX_ENTRY_ATOMS = 1 << 20
 
 
@@ -391,34 +405,12 @@ class Layout:
             bit <<= 1
         return out
 
-    def chains(self, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Every tuple of conjunctions for the first k arguments, in the
-        product order of `enum_conj`, with the index of its chain: the atom
-        c1 -> .. -> ck -> a sits at that index plus a's index in the type
-        left after k arguments."""
-        if k == 0:
-            yield (), 0
-            return
-        res_n = self.result.n
-        for ci, c in enumerate(self.conjs):
-            head = 1 + ci * res_n
-            for rest, off in self.result.chains(k - 1):
-                yield (c,) + rest, head + off
-
 
 @lru_cache(maxsize=None)
 def layout(t: SimpleType) -> Layout:
     """The layout of a type; raises AnalysisInfeasible where `enum_atoms`
     would."""
     return Layout(t)
-
-
-def _argument_layouts(lay: Layout, k: int) -> list[Layout]:
-    out = []
-    for _ in range(k):
-        out.append(lay.argument)
-        lay = lay.result
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -548,83 +540,172 @@ def sem_apply(fun: Conj, arg: Conj, result_type: SimpleType) -> Conj:
 
 
 def _inf_chains(t: SimpleType, exact: bool) -> Iterator[tuple[int, bool]]:
-    """The index of every chain s1 -> .. -> si -> q_inf of type t, with
-    1 <= i <= arity, where some sj holds q_inf (is exactly {q_inf} when
-    `exact`), and whether the chain takes every argument."""
+    """For 1 <= i <= arity, the mask of every chain s1 -> .. -> si -> q_inf
+    of type t where some sj holds q_inf (is exactly {q_inf} when `exact`),
+    and whether i is the arity.
+
+    A chain's index is the sum of one head per argument, 1 + sj's position
+    times the atom count of the type left after j arguments, and distinct
+    chains have distinct indices.  So multiplying the masks of each
+    argument's heads adds their exponents without a carry: the product is
+    the mask of all the chains, and a product over the heads whose sj lacks
+    q_inf is the mask of the chains to leave out.
+    """
     lay = layout(t)
     k = arity(t)
-    args = _argument_layouts(lay, k)
+    every = none = 1
     for i in range(1, k + 1):
+        heads = [1 + j * lay.result.n for j in range(len(lay.conjs))]
+        inf = lay.argument.inf
+        every *= _mask_of(heads, lay.n)
+        none *= _mask_of(
+            (h for h, c in zip(heads, lay.conjs) if (c != inf if exact else not c & inf)),
+            lay.n,
+        )
+        lay = lay.result
         tail = 1 if i == k else 0  # q_inf's index in the type left after i
-        for masks, off in lay.chains(i):
-            if any((m == a.inf) if exact else (m & a.inf) for m, a in zip(masks, args)):
-                yield off + tail, i == k
+        yield (every - none) << tail, i == k
 
 
 @lru_cache(maxsize=None)
 def _terminal_mask(t: SimpleType) -> int:
     """(Sig) for a terminal of type t, closed under (ArrI)."""
-    lay = layout(t)
-    return _mask_of((b for b, _ in _inf_chains(t, exact=True)), lay.n) | lay.arrow_inf
+    out = layout(t).arrow_inf
+    for mask, _ in _inf_chains(t, exact=True):
+        out |= mask
+    return out
 
 
-class _SemWalker:
-    """Bottom-up semantics over one environment of non-terminal masks.
+def _row(tab: dict[int, list[int]], lay: Layout, fun: int) -> list[int]:
+    """`lay.results(fun)`, tabled in `tab`: application is a pure function
+    of its operands, so one analysis shares its tables across all terms."""
+    row = tab.get(fun)
+    if row is None:
+        row = tab[fun] = lay.results(fun)
+    return row
 
-    `tables` maps (layout, function mask) to the function's results for
-    every argument (`Layout.results`).  Application is a pure function of
-    its operands, so one analysis shares the table across all its walkers.
+
+def _run(ops: list[tuple], vals: list[int]) -> None:
+    """Run bound dynamic operations (`_Program.bind`) on a value list."""
+    for row, tab, lay, f, a, o in ops:
+        vals[o] = (row or _row(tab, lay, vals[f]))[vals[a]]
+
+
+class _Program:
+    """A term compiled to a flat postfix list of mask operations.
+
+    Each operation writes one slot of a value list.  Slots 0..k-1 hold the
+    variables `params`, each closed under (ArrI) by the caller; the other
+    slots hold a terminal's constant mask (set in `init`), a non-terminal's
+    entry closed under (ArrI) (`loads`), or one application: a
+    `Layout.results` row of the function's slot, indexed by the argument's
+    slot.  A subterm that occurs more than once, as one object, and a symbol
+    that occurs more than once get one slot.  Applications that read no
+    parameter are `static`; they run once per environment (`fill`).  The
+    `dynamic` ones run once per binding of the parameters.
     """
 
-    def __init__(self, env: Mapping[str, int], tables: dict | None = None):
-        self.env = env
-        self.tables: dict[tuple[Layout, int], list[int]] = {} if tables is None else tables
+    __slots__ = ("params", "init", "loads", "static", "dynamic", "root", "root_static")
+
+    def fill(self, masks: Mapping[str, int]) -> list[int]:
+        """A value list with every parameter-free slot evaluated under the
+        non-terminal entries `masks`; the parameter slots hold 0."""
+        vals = self.init[:]
+        for slot, name, inf in self.loads:
+            entry = masks.get(name)
+            if entry is None:
+                raise UnboundSymbol(f"{NONTERMINAL} {name} is not in the environment")
+            vals[slot] = entry | inf
+        for tab, lay, f, a, o in self.static:
+            vals[o] = _row(tab, lay, vals[f])[vals[a]]
+        return vals
+
+    def bind(self, vals: list[int]) -> list[tuple]:
+        """The dynamic operations as (row, table, layout, f, a, o): `row` is
+        the function's results when the function reads no parameter, looked
+        up once in `vals` (from `fill`), and None (looked up per run)
+        otherwise."""
+        return [
+            (_row(tab, lay, vals[f]) if fixed else None, tab, lay, f, a, o)
+            for tab, lay, f, a, o, fixed in self.dynamic
+        ]
+
+
+class _Compiler:
+    """Compiles terms for one analysis, and holds what its programs share:
+    the application tables (`Layout.results` of each function mask met, per
+    layout) and each symbol's layout and (Sig) mask."""
+
+    def __init__(self):
+        self.tables: dict[Layout, dict[int, list[int]]] = {}
         # name -> (symbol, layout of its type, terminal mask or None)
         self.symbols: dict[str, tuple[Symbol, Layout, int | None]] = {}
 
-    def symbol(self, sym: Symbol, venv: Mapping[str, int] | None) -> tuple[int, Layout]:
-        """The semantics of a symbol with its layout: the (Sig) atoms of a
-        terminal, or the symbol's entry closed under (ArrI)."""
+    def symbol(self, sym: Symbol) -> tuple[Layout, int | None]:
         hit = self.symbols.get(sym.name)
         if hit is None or hit[0] is not sym:
             fixed = _terminal_mask(sym.type) if sym.kind == TERMINAL else None
             hit = self.symbols[sym.name] = (sym, layout(sym.type), fixed)
-        _, lay, fixed = hit
-        if fixed is not None:
-            return fixed, lay
-        if venv is not None and sym.name in venv:
-            entry = venv[sym.name]
-        else:
-            entry = self.env.get(sym.name)
-            if entry is None:
-                raise UnboundSymbol(f"{sym.kind} {sym.name} is not in the environment")
-        return entry | lay.arrow_inf, lay
+        return hit[1], hit[2]
 
-    def apply(self, lay: Layout, fun: int, arg: int) -> int:
-        """The semantics of an application of a `lay`-typed function."""
-        key = (lay, fun)
-        results = self.tables.get(key)
-        if results is None:
-            results = self.tables[key] = lay.results(fun)
-        return results[arg]
+    def compile(self, t: Term, params: Sequence[Symbol]) -> _Program:
+        """Compile t over the variables `params` with one loop and an
+        explicit stack, so a term of any depth compiles.
 
-    def walk(
-        self,
-        t: Term,
-        venv: Mapping[str, int] | None = None,
-        memo: dict[int, int] | None = None,
-    ) -> int:
-        if memo is None:
-            memo = {}
-        cached = memo.get(id(t))
-        if cached is not None:
-            return cached
-        sem, lay = self.symbol(t.head, venv)
-        for a in t.args:
-            sem = self.apply(lay, sem, self.walk(a, venv, memo))
-            lay = lay.result
-        memo[id(t)] = sem
-        return sem
+        Symbols are resolved in the pre-order of t, so an infeasible type
+        is refused where a recursive walk would first meet it.
+        """
+        slot_of = {p.name: i for i, p in enumerate(params)}
+        vals = [0] * len(params)
+        moves = [True] * len(params)  # whether a slot reads a parameter
+        loads: list[tuple[int, str, int]] = []
+        static: list[tuple] = []
+        dynamic: list[tuple] = []
+        heads: dict[int, tuple[int, Layout]] = {}  # id(symbol) -> (slot, layout)
+        slots: dict[int, int] = {}  # id(subterm) -> slot
+        stack: list[tuple[Term, bool]] = [(t, False)]
+        while stack:
+            node, ready = stack.pop()
+            if id(node) in slots:
+                continue
+            if not ready:
+                sym = node.head
+                if id(sym) not in heads:
+                    lay, fixed = self.symbol(sym)
+                    if sym.kind == VARIABLE:
+                        slot = slot_of.get(sym.name)
+                        if slot is None:
+                            raise UnboundSymbol(f"{sym.kind} {sym.name} is not in the environment")
+                    else:
+                        slot = len(vals)
+                        moves.append(False)
+                        vals.append(0 if fixed is None else fixed)
+                        if fixed is None:
+                            loads.append((slot, sym.name, lay.arrow_inf))
+                    heads[id(sym)] = (slot, lay)
+                stack.append((node, True))
+                stack.extend((a, False) for a in reversed(node.args))
+                continue
+            cur, lay = heads[id(node.head)]
+            for a in node.args:
+                arg = slots[id(a)]
+                out = len(vals)
+                vals.append(0)
+                tab = self.tables.setdefault(lay, {})
+                if moves[cur] or moves[arg]:
+                    dynamic.append((tab, lay, cur, arg, out, not moves[cur]))
+                    moves.append(True)
+                else:
+                    static.append((tab, lay, cur, arg, out))
+                    moves.append(False)
+                cur, lay = out, lay.result
+            slots[id(node)] = cur
+        prog = _Program()
+        prog.params, prog.init, prog.loads = params, vals, loads
+        prog.static, prog.dynamic = static, dynamic
+        prog.root = slots[id(t)]
+        prog.root_static = not moves[prog.root]
+        return prog
 
 
 # ---------------------------------------------------------------------------
@@ -645,57 +726,101 @@ def _argument_clauses(t: SimpleType) -> int:
     """The atoms every rule of a t-typed non-terminal gets whatever its body:
       (ii)  s1 -> .. -> si -> q_inf  (i <= k) when some sj contains q_inf,
       (iii) s1 -> .. -> sk -> q_bot  when some sj contains q_inf."""
-    bits = []
-    for b, full in _inf_chains(t, exact=False):
-        bits.append(b)  # (ii)
+    out = 0
+    for mask, full in _inf_chains(t, exact=False):
+        out |= mask  # (ii)
         if full:
-            bits.append(b - 1)  # (iii): q_bot sits just below q_inf in `o`
-    return _mask_of(bits, layout(t).n)
+            out |= mask >> 1  # (iii): q_bot sits just below q_inf in `o`
+    return out
 
 
-def _step_masks(g: Scheme, walker: _SemWalker) -> dict[str, int]:
-    """One application of the rule operator to the walker's environment.
+class _RuleProgram:
+    """One rule F x1..xk -> e compiled for the rule operator.
 
-    For each rule F x1..xk -> e the new entry collects
+    For each chain s1 -> .. -> sk of F's type the new entry collects
       (i)   s1 -> .. -> sk -> q      when e matches q under xi |> si,
-    and the clauses of `_argument_clauses`.  The body's ground mask holds
+    plus the clauses of `_argument_clauses`.  The body's ground mask holds
     q_bot at bit 0 and q_inf at bit 1, as the chain's index and the next.
+    `values` lists, per parameter, its conjunction masks closed under
+    (ArrI), and `offsets` every chain's index, in the product order of the
+    values.  A body whose root reads no parameter has one value for every
+    chain, so `chains` holds the mask of all chain indices instead.  `reads`
+    names the non-terminals the body mentions.
     """
-    out: dict[str, int] = {}
-    for name, f in g.nonterminals.items():
-        rule = g.rules[name]
-        lay = layout(f.type)
-        params = [p.name for p in rule.params]
+
+    def __init__(self, g: Scheme, name: str, compiler: _Compiler):
+        rule, t = g.rules[name], g.nonterminals[name].type
+        self.name = name
+        self.program = compiler.compile(rule.body, rule.params)
+        self.reads = {name for _, name, _ in self.program.loads}
+        self.n = layout(t).n
+        self.clauses = _argument_clauses(t)
+        static = self.program.root_static
+        self.values: list[list[int]] = []
+        chains, offsets, lay = 1, [0], layout(t)
+        for _ in rule.params:
+            heads = [1 + i * lay.result.n for i in range(len(lay.conjs))]
+            if static:
+                chains *= _mask_of(heads, lay.n)  # as in `_inf_chains`
+            else:
+                self.values.append([c | lay.argument.arrow_inf for c in lay.conjs])
+                offsets = [o + h for o in offsets for h in heads]
+            lay = lay.result
+        self.chains, self.offsets = (chains, None) if static else (None, offsets)
+
+    def entry(self, masks: Mapping[str, int]) -> int:
+        """The rule's new entry under the non-terminal entries `masks`."""
+        prog = self.program
+        vals = prog.fill(masks)
+        if self.offsets is None:
+            body = vals[prog.root]
+            return (
+                self.clauses
+                | (self.chains if body & 1 else 0)
+                | (self.chains << 1 if body & 2 else 0)
+            )
+        ops, root, k = prog.bind(vals), prog.root, len(self.values)
         bits = []
-        for masks, off in lay.chains(len(params)):
-            body = walker.walk(rule.body, dict(zip(params, masks)))
+        for tup, off in zip(itertools.product(*self.values), self.offsets):
+            vals[:k] = tup
+            _run(ops, vals)
+            body = vals[root]
             if body & 1:
                 bits.append(off)
             if body & 2:
                 bits.append(off + 1)
-        out[name] = _mask_of(bits, lay.n) | _argument_clauses(f.type)
-    return out
+        return _mask_of(bits, self.n) | self.clauses
 
 
 def step_F(g: Scheme, env: Env) -> Env:
     """One application of the rule operator to an object environment: the
-    clauses of `_step_masks` and `_argument_clauses`."""
+    clauses of `_RuleProgram` and `_argument_clauses`."""
     _require_rules(g)
     layouts = {name: layout(f.type) for name, f in g.nonterminals.items()}
     masks = {name: layouts[name].encode(c) for name, c in env.entries.items()}
-    out = _step_masks(g, _SemWalker(masks))
-    return Env({name: layouts[name].decode(m) for name, m in out.items()})
+    compiler = _Compiler()
+    return Env({
+        name: layouts[name].decode(_RuleProgram(g, name, compiler).entry(masks))
+        for name in g.nonterminals
+    })
 
 
 class Analysis:
     """Fixpoint analysis of one scheme plus memoized term semantics.
 
-    Feasibility is checked before anything is enumerated: every non-terminal
+    Feasibility is checked before anything is compiled: every non-terminal
     needs a rule, every argument type at most MAX_ENUM_ATOMS atoms, and every
     non-terminal type at most MAX_ENTRY_ATOMS.
     `masks` holds the fixpoint; `env` decodes it.
 
-    Not safe to share across threads: the memo table is unsynchronized.
+    The fixpoint is Kleene iteration from the full assignment, on compiled
+    rules (`_RuleProgram`).  A rule runs again only when a non-terminal its
+    body names dropped in the previous iteration; otherwise its entry
+    cannot change.  The compiled rules and their chain lists live for the
+    fixpoint; the programs `semantics_mask` compiles and the application
+    tables live as long as the analysis.
+
+    Not safe to share across threads: the memo tables are unsynchronized.
     """
 
     def __init__(self, g: Scheme, max_iterations: int | None = None):
@@ -711,20 +836,29 @@ class Analysis:
                 )
             bound += n
         limit = max_iterations if max_iterations is not None else bound + 1
-        tables: dict = {}
         masks = {name: layout(f.type).full for name, f in g.nonterminals.items()}
+        self._compiler = _Compiler()
+        rules = [_RuleProgram(g, name, self._compiler) for name in g.nonterminals]
         iterations = 0
+        dropped: set[str] | None = None  # None: the first step runs every rule
         while True:
-            nxt = _step_masks(g, _SemWalker(masks, tables))
-            for name, m in masks.items():
-                if nxt[name] & ~m:
+            nxt = dict(masks)
+            changed: set[str] = set()
+            for rule in rules:
+                if dropped is not None and rule.reads.isdisjoint(dropped):
+                    continue
+                new, old = rule.entry(masks), masks[rule.name]
+                if new & ~old:
                     raise AssertionError(
-                        f"rule operator grew the entry of {name}; "
+                        f"rule operator grew the entry of {rule.name}; "
                         f"iteration is not descending"
                     )
-            if nxt == masks:
+                if new != old:
+                    nxt[rule.name] = new
+                    changed.add(rule.name)
+            if not changed:
                 break
-            masks = nxt
+            masks, dropped = nxt, changed
             iterations += 1
             if iterations > limit:
                 raise AnalysisInfeasible(
@@ -734,8 +868,9 @@ class Analysis:
         self.iterations = iterations
         self.atom_bound = bound
         self._env: Env | None = None
-        self._memo: dict[tuple[Term, tuple[tuple[str, int], ...]], int] = {}
-        self._walker = _SemWalker(masks, tables)
+        # term -> (program, its `fill` under the fixpoint, its bound operations)
+        self._programs: dict[Term, tuple[_Program, list[int], list[tuple]]] = {}
+        self._memo: dict[tuple[Term, tuple[int, ...]], int] = {}
 
     @property
     def env(self) -> Env:
@@ -749,23 +884,38 @@ class Analysis:
 
     def apply(self, lay: Layout, fun: int, arg: int) -> int:
         """Mask application of a `lay`-typed function to an argument."""
-        return self._walker.apply(lay, fun, arg)
+        return _row(self._compiler.tables.setdefault(lay, {}), lay, fun)[arg]
 
     def semantics_mask(self, t: Term, venv: Mapping[str, int] | None = None) -> int:
         """The mask of all atoms derivable for t under the fixpoint
-        environment extended with `venv` (masks) for its free variables."""
+        environment extended with `venv` (masks) for its free variables.
+
+        t is compiled once (`_Compiler.compile`), and its parameter-free
+        part is evaluated once, for the life of the analysis."""
         venv = venv or {}
-        free = _free_variables(t)
-        missing = free.keys() - venv.keys()
-        if missing:
-            raise UnboundSymbol(
-                f"term has unbound variables: {', '.join(sorted(missing))}"
-            )
-        bound = {n: venv[n] for n in free}
-        key = (t, tuple(sorted(bound.items())))
+        hit = self._programs.get(t)
+        if hit is None:
+            params = tuple(_free_variables(t).values())
+            bound = _bound(params, venv)
+            prog = self._compiler.compile(t, params)
+            vals = prog.fill(self.masks)
+            hit = self._programs[t] = (prog, vals, prog.bind(vals))
+        else:
+            bound = _bound(hit[0].params, venv)
+        prog, fixed, ops = hit
+        key = (t, bound)
         cached = self._memo.get(key)
         if cached is None:
-            cached = self._memo[key] = self._walker.walk(t, bound, {})
+            if prog.root_static:
+                cached = fixed[prog.root]
+            else:
+                vals = fixed[:]
+                vals[: len(bound)] = [
+                    m | layout(p.type).arrow_inf for p, m in zip(prog.params, bound)
+                ]
+                _run(ops, vals)
+                cached = vals[prog.root]
+            self._memo[key] = cached
         return cached
 
     def semantics(self, t: Term, venv: Mapping[str, Conj] | None = None) -> Conj:
@@ -777,6 +927,14 @@ class Analysis:
             if n in venv
         }
         return layout(t.type).decode(self.semantics_mask(t, masks))
+
+
+def _bound(params: Sequence[Symbol], venv: Mapping[str, int]) -> tuple[int, ...]:
+    """The masks `venv` binds the variables `params` to."""
+    missing = [p.name for p in params if p.name not in venv]
+    if missing:
+        raise UnboundSymbol(f"term has unbound variables: {', '.join(sorted(missing))}")
+    return tuple(venv[p.name] for p in params)
 
 
 def _free_variables(t: Term) -> dict[str, Symbol]:

@@ -50,13 +50,19 @@ from hors.scheme import (
     reachable_nonterminals,
 )
 from hors.typesys import (
+    MAX_ENTRY_ATOMS,
     Analysis,
+    AnalysisInfeasible,
     ArrowMap,
     Atom,
     Conj,
     Env,
     QBot,
     QInf,
+    UnboundSymbol,
+    _mask_of,
+    _require_rules,
+    atom_count,
     enum_atoms,
     layout,
 )
@@ -608,3 +614,142 @@ def reference_analyze_output(g: Scheme) -> tuple[str, str]:
         "nonterminals": {name: [atom_json(a) for a in entries[name]] for name in names},
     }
     return text, json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The fixpoint by recursive walks: the route `Analysis` compiled away
+
+
+def reference_chains(lay, k: int):
+    """Every tuple of conjunction masks for the first k arguments of a
+    layout, in the product order of `enum_conj`, with the index of its
+    chain: the atom c1 -> .. -> ck -> a sits at that index plus a's index
+    in the type left after k arguments."""
+    if k == 0:
+        yield (), 0
+        return
+    res_n = lay.result.n
+    for ci, c in enumerate(lay.conjs):
+        head = 1 + ci * res_n
+        for rest, off in reference_chains(lay.result, k - 1):
+            yield (c,) + rest, head + off
+
+
+def reference_inf_chains(t, exact: bool):
+    """The index of every chain s1 -> .. -> si -> q_inf of type t, with
+    1 <= i <= arity, where some sj holds q_inf (is exactly {q_inf} when
+    `exact`), and whether the chain takes every argument."""
+    lay = layout(t)
+    k = arity(t)
+    args, cur = [], lay
+    for _ in range(k):
+        args.append(cur.argument)
+        cur = cur.result
+    for i in range(1, k + 1):
+        tail = 1 if i == k else 0  # q_inf's index in the type left after i
+        for masks, off in reference_chains(lay, i):
+            if any((m == a.inf) if exact else (m & a.inf) for m, a in zip(masks, args)):
+                yield off + tail, i == k
+
+
+@lru_cache(maxsize=None)
+def reference_terminal_mask(t) -> int:
+    """(Sig) for a terminal of type t, closed under (ArrI), chain by chain."""
+    lay = layout(t)
+    return _mask_of((b for b, _ in reference_inf_chains(t, exact=True)), lay.n) | lay.arrow_inf
+
+
+@lru_cache(maxsize=None)
+def reference_argument_clauses(t) -> int:
+    """Clauses (ii) and (iii) of the rule operator, chain by chain."""
+    bits = []
+    for b, full in reference_inf_chains(t, exact=False):
+        bits.append(b)
+        if full:
+            bits.append(b - 1)
+    return _mask_of(bits, layout(t).n)
+
+
+class ReferenceWalker:
+    """Bottom-up semantics over one environment of non-terminal masks, by a
+    recursive walk that starts afresh for every term and binding."""
+
+    def __init__(self, env, tables=None):
+        self.env = env
+        self.tables = {} if tables is None else tables
+
+    def symbol(self, sym: Symbol, venv):
+        """The semantics of a symbol with its layout: the (Sig) atoms of a
+        terminal, or the symbol's entry closed under (ArrI)."""
+        if sym.kind == TERMINAL:
+            return reference_terminal_mask(sym.type), layout(sym.type)
+        lay = layout(sym.type)
+        if venv is not None and sym.name in venv:
+            entry = venv[sym.name]
+        else:
+            entry = self.env.get(sym.name)
+            if entry is None:
+                raise UnboundSymbol(f"{sym.kind} {sym.name} is not in the environment")
+        return entry | lay.arrow_inf, lay
+
+    def apply(self, lay, fun: int, arg: int) -> int:
+        key = (lay, fun)
+        results = self.tables.get(key)
+        if results is None:
+            results = self.tables[key] = lay.results(fun)
+        return results[arg]
+
+    def walk(self, t: Term, venv=None, memo=None) -> int:
+        if memo is None:
+            memo = {}
+        cached = memo.get(id(t))
+        if cached is not None:
+            return cached
+        sem, lay = self.symbol(t.head, venv)
+        for a in t.args:
+            sem = self.apply(lay, sem, self.walk(a, venv, memo))
+            lay = lay.result
+        memo[id(t)] = sem
+        return sem
+
+
+def reference_step(g: Scheme, walker: ReferenceWalker) -> dict:
+    """One application of the rule operator, one walk per chain."""
+    out = {}
+    for name, f in g.nonterminals.items():
+        rule = g.rules[name]
+        lay = layout(f.type)
+        params = [p.name for p in rule.params]
+        bits = []
+        for masks, off in reference_chains(lay, len(params)):
+            body = walker.walk(rule.body, dict(zip(params, masks)))
+            if body & 1:
+                bits.append(off)
+            if body & 2:
+                bits.append(off + 1)
+        out[name] = _mask_of(bits, lay.n) | reference_argument_clauses(f.type)
+    return out
+
+
+def reference_fixpoint(g: Scheme) -> tuple[dict, int]:
+    """The greatest fixpoint by naive Kleene iteration from the full
+    assignment, every rule walked in every step: (masks, iterations).  It
+    refuses what `Analysis` refuses, with the same first error."""
+    _require_rules(g)
+    for name, f in g.nonterminals.items():
+        n = atom_count(f.type)
+        if n > MAX_ENTRY_ATOMS:
+            raise AnalysisInfeasible(
+                f"non-terminal {name} : {type_to_str(f.type)} has {n} atoms; "
+                f"an entry of more than {MAX_ENTRY_ATOMS} atoms is not feasible"
+            )
+    tables: dict = {}
+    masks = {name: layout(f.type).full for name, f in g.nonterminals.items()}
+    iterations = 0
+    while True:
+        nxt = reference_step(g, ReferenceWalker(masks, tables))
+        assert all(not nxt[name] & ~m for name, m in masks.items())
+        if nxt == masks:
+            return masks, iterations
+        masks = nxt
+        iterations += 1

@@ -239,8 +239,9 @@ def test_deeply_nested_input_is_a_domain_error(argv, tmp_path, capsys):
 
 
 def test_deep_bodies_are_read(tmp_path, capsys):
-    """The parser, validation, both evaluators, `derive` and `bar_scheme`
-    take a rule body nested deeper than the recursion limit."""
+    """The parser, validation, both evaluators, `derive`, `bar_scheme`, the
+    analysis and the labeling take a rule body nested deeper than the
+    recursion limit."""
     depth = 1_500
     body = "a (" * depth + "c" + ")" * depth
     path = tmp_path / "deep.hors"
@@ -260,6 +261,12 @@ def test_deep_bodies_are_read(tmp_path, capsys):
     assert (code, err) == (0, "")
     barred = parse(out)
     assert max(rule.body.size for rule in barred.rules.values()) > depth
+    assert run(capsys, "analyze", str(path)) == (0, "S :: {}\n", "")
+    code, out, err = run(capsys, "transform", str(path), "--to", "oi")
+    assert (code, err) == (
+        0, "rules: 1 before, 1 after (0 redirected to Void)\nunreachable annotated copies: 1 (pruned)\n"
+    )
+    assert parse(out).rules["S"].body.size == depth + 1
 
 
 def test_analyze_text(capsys):

@@ -2,6 +2,9 @@
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hors import (
     Analysis,
     AnalysisInfeasible,
@@ -15,12 +18,19 @@ from hors import (
     self_correct_report,
     validate,
     value_tree,
+    value_tree_report,
 )
 from hors.core import BOT, GROUND, arrow, term_to_str
 from hors.io2oi import Labeling, mask_tuples, nbvar, plus_type, sigma_tuples
 from hors.typesys import enum_conj
 
-from conftest import applier_scheme, reference_prune, reference_self_correct, twice_scheme
+from conftest import (
+    applier_scheme,
+    gen_scheme,
+    reference_prune,
+    reference_self_correct,
+    twice_scheme,
+)
 
 O = GROUND
 OO = arrow(O, O)
@@ -177,6 +187,23 @@ def test_labeling_preserves_io_from_custom_start_terms(dropper):
         got = value_tree(with_start(gp, t_plus), "io", _budget())
         want = value_tree(with_start(g, t), "io", _budget())
         assert got == want, term_to_str(t)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=1, max_value=100_000))
+def test_labeling_preserves_the_io_tree_on_drawn_schemes(seed):
+    """The unrestricted value tree of G'' is the IO value tree of G,
+    wherever the analysis is feasible and neither run exhausted its
+    budget."""
+    g = gen_scheme(seed)
+    try:
+        gpp, _ = self_correct_report(g)
+    except AnalysisInfeasible:
+        return
+    io = value_tree_report(g, "io", EvalBudget(2_000, 100_000, 3))
+    fixed = value_tree_report(gpp, "unrestricted", EvalBudget(8_000, 400_000, 3))
+    if not (io.exhausted or fixed.exhausted):
+        assert fixed.tree == io.tree, seed
 
 
 def test_self_correction_aligns_all_policies(separating, dropper):

@@ -1,6 +1,7 @@
 """The divergence type system: enumerations, judgements, the fixpoint."""
 
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
@@ -21,7 +22,17 @@ from hors import (
     value_tree_report,
     with_start,
 )
-from hors.core import Arrow, BOT, GROUND, argument_types, arrow, terminal, variable
+from hors.core import (
+    Arrow,
+    BOT,
+    GROUND,
+    argument_types,
+    arrow,
+    nonterminal,
+    terminal,
+    variable,
+)
+from hors.scheme import Rule, Scheme
 from hors.typesys import (
     MAX_ENTRY_ATOMS,
     ArrowMap,
@@ -34,16 +45,28 @@ from hors.typesys import (
     conj_masks,
     enum_atoms,
     enum_conj,
+    _argument_clauses,
+    _Compiler,
+    _RuleProgram,
+    _terminal_mask,
     layout,
     step_F,
 )
 
 from conftest import (
+    _TERMINALS,
+    SCHEMES_DIR,
+    ReferenceWalker,
     _analysis_safe,
+    _arg_types,
     _candidates,
+    _var_for,
     applier_scheme,
     gen_scheme,
     initial_env,
+    reference_argument_clauses,
+    reference_fixpoint,
+    reference_terminal_mask,
     semantics,
     theta_star,
     twice_scheme,
@@ -351,6 +374,17 @@ def test_semantics_unbound_variable(dropper):
     assert an.semantics(Term(x), {"x": conj(Q_BOT)}) == conj(Q_BOT)
 
 
+def test_semantics_resolves_each_symbol_by_its_own_type(dropper):
+    """A variable named like one met before, with another type, is read
+    at its own type."""
+    an = Analysis(dropper)
+    x = dropper.symbol("x")
+    assert an.semantics_mask(Term(x), {"x": 1}) == 1
+    f, c = variable("x", OO), dropper.symbol("c")
+    assert an.semantics_mask(Term(f), {"x": 0}) == layout(OO).arrow_inf
+    assert an.semantics_mask(Term(f, (Term(c),)), {"x": layout(OO).full}) == 0b11
+
+
 def test_io_step_invariance(separating, dropper):
     for g in (separating, dropper):
         an = Analysis(g)
@@ -514,3 +548,161 @@ def test_tabulated_application_matches_sem_apply(data):
     arg = data.draw(st.integers(0, lay.argument.full))
     want = sem_apply(lay.decode(fun), lay.argument.decode(arg), t.result)
     assert lay.result.decode(lay.results(fun)[arg]) == want
+
+
+# ---------------------------------------------------------------------------
+# The compiled fixpoint against the recursive walks it replaced
+
+
+def _fixpoint_or_refusal(route, g):
+    try:
+        return route(g)
+    except AnalysisInfeasible as e:
+        return "refused", str(e)
+
+
+def _compiled(g):
+    an = Analysis(g)
+    return an.masks, an.iterations
+
+
+def test_fixpoint_matches_the_reference_on_the_corpus(analysis_corpus):
+    """Equal masks and iteration counts, or the same refusal, on the
+    analysis corpus, the example files and 60 generated schemes."""
+    schemes = list(analysis_corpus)
+    schemes += [parse(p.read_text(encoding="utf-8")) for p in sorted(SCHEMES_DIR.glob("*.hors"))]
+    schemes += [gen_scheme(seed) for seed in range(1, 61)]
+    refused = 0
+    for g in schemes:
+        got = _fixpoint_or_refusal(_compiled, g)
+        assert got == _fixpoint_or_refusal(reference_fixpoint, g)
+        refused += got[0] == "refused"
+    assert refused == 1  # order3.hors
+
+
+# Non-terminal types of the drawn schemes: the generator's, up to 4,609 atoms.
+DRAWN_TYPES = [O, OO, arrow(O, O, O), arrow(OO, O), arrow(OO, O, O)]
+
+
+def _drawn_term(symbols, target, depth):
+    """Terms of type `target` over `symbols`.  An application whose two
+    arguments have one type may take the same subterm object twice, as a
+    shared subterm."""
+    cands = _candidates(symbols, target)
+    if depth <= 0:
+        cands = [cd for cd in cands if cd[1] == 0] or [min(cands, key=lambda cd: cd[1])]
+
+    def build(cd):
+        sym, j = cd
+        tys = argument_types(sym.type)[:j]
+        parts = st.tuples(*[_drawn_term(symbols, ty, depth - 1) for ty in tys])
+        if j == 2 and tys[0] == tys[1]:
+            shared = _drawn_term(symbols, tys[0], depth - 1).map(lambda a: (a, a))
+            parts = st.one_of(parts, shared)
+        return parts.map(lambda args: Term(sym, args))
+
+    return st.sampled_from(cands).flatmap(build)
+
+
+@st.composite
+def drawn_schemes(draw):
+    """Schemes of up to four rules with bodies up to three applications deep:
+    leaf bodies, parameters in head position, parameters that never occur,
+    and shared subterms all come up."""
+    nonterminals = {"S": nonterminal("S", O)}
+    for i in range(draw(st.integers(1, 3))):
+        nonterminals[f"N{i + 1}"] = nonterminal(f"N{i + 1}", draw(st.sampled_from(DRAWN_TYPES)))
+    variables: dict = {}
+    rules = {}
+    for name, nt in nonterminals.items():
+        params, counts = [], {}
+        for ty in _arg_types(nt.type):
+            idx = counts.get(repr(ty), 0)
+            counts[repr(ty)] = idx + 1
+            params.append(_var_for(variables, ty, idx))
+        scope = [*_TERMINALS.values(), *nonterminals.values(), *params]
+        body = draw(_drawn_term(scope, O, draw(st.integers(0, 3))))
+        rules[name] = Rule(nt, tuple(params), body)
+    return Scheme(dict(_TERMINALS), nonterminals, variables, rules, nonterminals["S"]).check()
+
+
+@settings(max_examples=60)
+@given(drawn_schemes())
+def test_fixpoint_matches_the_reference_on_drawn_schemes(g):
+    assert _compiled(g) == reference_fixpoint(g)
+
+
+def _subterms(t):
+    seen, stack = {}, [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.args)
+    return list(seen.values())
+
+
+def test_semantics_mask_matches_the_reference_walk(analysis_corpus):
+    """Every subterm of every rule body, under three sampled bindings of
+    its variables, against a recursive walk over the fixpoint."""
+    rng = random.Random(5)
+    schemes = list(analysis_corpus) + [gen_scheme(seed) for seed in range(18, 41)]
+    checked = 0
+    for g in schemes:
+        an = Analysis(g)
+        walker = ReferenceWalker(an.masks)
+        for rule in g.rules.values():
+            for sub in _subterms(rule.body):
+                for _ in range(3):
+                    venv = {
+                        p.name: rng.randrange(layout(p.type).full + 1) for p in rule.params
+                    }
+                    assert an.semantics_mask(sub, venv) == walker.walk(sub, venv), str(sub)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_parameter_free_roots_and_unused_parameters():
+    """A body root that reads no parameter sets every chain at once; a
+    parameter that does not occur still spans its chains."""
+    g = parse(
+        """
+        terminal a : o -> o
+        terminal b : o -> o -> o
+        terminal c : o
+        nonterminal S : o
+        nonterminal K : o -> o
+        nonterminal P : (o -> o) -> o -> o
+        nonterminal L : (o -> o) -> o -> o
+        nonterminal D : o -> o
+        nonterminal H : o -> o
+        var f : o -> o
+        var x : o
+        start S
+        rule S = L (P K) (D (K c))
+        rule K x = b c c
+        rule P f x = D (H c)
+        rule L f x = f (b c (a c))
+        rule D x = D x
+        rule H x = a (H x)
+        """
+    )
+    static = {name: _RuleProgram(g, name, _Compiler()).offsets is None for name in g.rules}
+    assert static == {"S": True, "K": True, "P": True, "L": False, "D": False, "H": False}
+    assert _compiled(g) == reference_fixpoint(g)
+    an = Analysis(g)
+    # P's root D (H c) reads no parameter and diverges: q_inf at every chain
+    p = an.env.entries["P"]
+    assert all(ArrowMap(s, ArrowMap(t, Q_INF)) in p for s in enum_conj(OO) for t in enum_conj(O))
+
+
+CHAIN_TYPES = LAYOUT_TYPES + [
+    arrow(O, O, O, O), arrow(O, O, O, O, O), arrow(OO, O, O, O), arrow(O, OO, O),
+]
+
+
+def test_chain_masks_match_the_chain_enumeration():
+    for t in CHAIN_TYPES:
+        assert _argument_clauses(t) == reference_argument_clauses(t), t
+        if all(a == O for a in argument_types(t)):  # a terminal's type
+            assert _terminal_mask(t) == reference_terminal_mask(t), t
