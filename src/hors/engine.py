@@ -1,25 +1,26 @@
 """Rewriting, derivation strategies and truncated value trees.
 
-`redexes`/`step` work on immutable terms.  `derive` rewrites one private
-mutable copy of its start term in place and keeps the redexes of the
-current term in a tree, each pointing at its node: a step runs the rule's
-compiled template, which moves or copies argument nodes, and the fair sweep
-under `io` takes each round's innermost redexes from the last round's
-contracta.  The trace keeps the chosen redexes and the final term only; the
-intermediate terms are rebuilt with `step` when asked for.  `value_tree`
-runs the fair schedulers on the same mutable representation and the same
-templates: each node knows whether its subtree holds a redex, so sweeps
-skip settled regions, a redex is innermost when none of its children holds
-one, and a rewrite updates the flags above it only as far as they flip.
-Each node also carries a visibility mark, and subtrees that can never reach
-the requested output depth are left unexpanded.  The template sets a new
-node's flags and mark as it builds it, from what compilation fixed and the
-redex's mark; only arguments whose mark changes are walked again.
+`redexes`/`step` work on immutable terms.  `derive` and `value_tree`
+rewrite one private mutable copy of the start term in place.  A step runs
+the rule's compiled template, which moves or copies argument nodes and sets
+each new node's flags as it builds it.  Each node knows whether it is a
+redex and whether its subtree holds one, so walks skip settled regions, a
+redex is innermost when none of its children holds one, and a rewrite
+updates the flags above it only as far as they flip.
+
+`derive` takes its redexes from these flags, by one walk that carries each
+redex's position and the chain of redexes above it; each round after the
+first comes from the last round's contracta.  The trace keeps
+the chosen redexes and the final term only; the intermediate terms are
+rebuilt with `step` when asked for.  The value-tree evaluator also gives
+each node a visibility mark, and subtrees that can never reach the
+requested output depth are left unexpanded.  The template sets a new
+node's mark from what compilation fixed and the redex's mark; only
+arguments whose mark changes are walked again.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
@@ -118,8 +119,7 @@ class DerivationTrace:
 
     @property
     def terms(self) -> list[Term]:
-        steps = self._replay()
-        return [self.start] + [after for _, _, after in steps] if steps else []
+        return [self.start] + [after for _, _, after in self._replay()]
 
     def _replay(self) -> list[tuple[Term, RedexInfo, Term]]:
         if self._replayed is None:
@@ -171,8 +171,8 @@ class ValueTreeResult:
 def _is_redex_head(g: Scheme, head: Symbol, nargs: int) -> bool:
     """Whether `head` applied to `nargs` arguments can be rewritten: a
     non-terminal with a rule, applied to one argument per parameter (so
-    fully applied and ground).  The one redex predicate of `redexes`,
-    `step`, `derive` and the fast evaluator."""
+    fully applied and ground).  The one redex predicate of `step`,
+    `derive` and the fast evaluator; `_from_term` inlines it."""
     if head.kind != NONTERMINAL:
         return False
     rule = g.rules.get(head.name)
@@ -195,8 +195,9 @@ _BEYOND = -2
 
 class _MNode:
     """A node of a mutable term.  `redex`: the node can be rewritten; `hot`:
-    it or some node below it can; `vis`: its visibility mark.  The evaluator
-    keeps these current; `derive` does not read them."""
+    it or some node below it can; `vis`: its visibility mark, which only the
+    evaluator keeps.  `_instantiate` and `_cool` keep the flags and parent
+    links current, and `derive` and the evaluator both read them."""
 
     __slots__ = ("sym", "kids", "parent", "redex", "hot", "vis", "stamp")
 
@@ -214,9 +215,9 @@ class _MNode:
             k.parent = self
 
 
-def _deep_copy(node: _MNode) -> tuple[_MNode, dict[int, _MNode]]:
-    """A copy of node's subtree, flags and marks included, and the copy of
-    every node in it by the original's id."""
+def _deep_copy(node: _MNode) -> tuple[_MNode, int]:
+    """A copy of node's subtree, flags and marks included, and its number
+    of nodes."""
     done: dict[int, _MNode] = {}
     stack: list[tuple[_MNode, bool]] = [(node, False)]
     while stack:
@@ -227,7 +228,7 @@ def _deep_copy(node: _MNode) -> tuple[_MNode, dict[int, _MNode]]:
                 stack.append((k, False))
             continue
         done[id(n)] = _MNode(n.sym, [done[id(k)] for k in n.kids], n.redex, n.hot, n.vis)
-    return done[id(node)], done
+    return done[id(node)], len(done)
 
 
 def _mark(node: _MNode, vis: int, horizon: int) -> None:
@@ -282,73 +283,54 @@ def _to_term(node: _MNode) -> Term:
 class _Template:
     """A rule body compiled to postfix operations, run by `_instantiate`.
 
-    A non-parameter head is `(False, symbol, child count, redex, hot, off,
-    slot)`; its `hot` flag is None when a parameter below decides it.  A
-    parameter head is `(True, parameter index, extra-argument count, copy,
-    None, off, slot)`: the argument moves to the first occurrence in
-    pre-order and is copied for later ones.  `off` places a head for the
-    evaluator's marks: `d` at depth d on an all-terminal path from the body
-    root, `~k` below a non-terminal head first met at depth k, None below a
-    parameter head.  `root` is the body root's operation, run into the
-    redex node, and `ops` are the others.  `nsym` counts the new nodes and
-    `unused` lists the parameters that do not occur.
-
-    `items`, for `_rewrite`, are the static redexes and the parameter
-    occurrences in document order; `slot` is an operation's index among
-    them, or -1.  An item is `(parent, rel, shift, param, opens)`: the slot
-    of the nearest item above that may be a redex (-1: none), the position
-    relative to it, whose first index skips the kids of argument `shift`
-    when that item is a parameter (-1: not), the parameter index (-1 for a
-    static redex) and whether the item may be a redex itself.
+    A non-parameter head is `(False, symbol, child count, redex, hot, off)`;
+    its `hot` flag is None when a parameter below decides it.  A parameter
+    head is `(True, parameter index, extra-argument count, copy, None,
+    off)`: the argument moves to the first occurrence in pre-order and is
+    copied for later ones.  `off` places a head for the evaluator's marks:
+    `d` at depth d on an all-terminal path from the body root, `~k` below a
+    non-terminal head first met at depth k, None below a parameter head.
+    `root` is the body root's operation, run into the redex node, and `ops`
+    are the others.  `nsym` counts the new nodes and `unused` lists the
+    parameters that do not occur.
     """
 
-    __slots__ = ("ops", "root", "nsym", "unused", "items")
+    __slots__ = ("ops", "root", "nsym", "unused")
 
     def __init__(self, g: Scheme, params: Sequence[Symbol], body: Term):
         index = {p.name: k for k, p in enumerate(params)}
         ops: list[tuple] = []
-        self.items: list[tuple[int, Position, int, int, bool]] = []
         seen: set[int] = set()
         hots: list[bool | None] = []  # the emitted operations' hot flags
-        # (False, term, parent item, path from it as a linked list, shift,
-        # off) to visit, or (True, operation) to emit once the children are.
-        todo: list[tuple] = [(False, body, -1, None, -1, 0)]
+        # (False, term, off) to visit, or (True, operation) to emit once the
+        # children are.
+        todo: list[tuple] = [(False, body, 0)]
         while todo:
             entry = todo.pop()
             if entry[0]:
-                _, param, a, n, flag, off, slot = entry
+                _, param, a, n, flag, off = entry
                 kids = hots[len(hots) - n :]
                 del hots[len(hots) - n :]
                 # Set by a static redex, clear without one; None: decided
                 # at run time, by the kids that hold a parameter.
                 hot = None if param else flag or True in kids or (None if None in kids else False)
                 hots.append(hot)
-                ops.append((param, a, n, flag, hot, off, slot))
+                ops.append((param, a, n, flag, hot, off))
                 continue
-            _, t, parent, link, shift, off = entry
+            _, t, off = entry
             n = len(t.args)
             k = index.get(t.head.name) if t.head.kind == VARIABLE else None
-            redex = k is None and _is_redex_head(g, t.head, n)
-            slot = -1
-            if k is not None or redex:
-                rel: list[int] = []
-                while link is not None:  # the children's paths start here
-                    j, link = link
-                    rel.append(j)
-                slot, param = len(self.items), -1 if redex else k
-                self.items.append((parent, tuple(reversed(rel)), shift, param, redex or n > 0))
-                parent, shift = slot, param
             if k is not None:
-                todo.append((True, True, k, n, k in seen, off, slot))
+                todo.append((True, True, k, n, k in seen, off))
                 seen.add(k)
                 below = None
             else:
-                todo.append((True, False, t.head, n, redex, off, slot))
+                todo.append((True, False, t.head, n, _is_redex_head(g, t.head, n), off))
                 below = off
                 if off is not None and off >= 0:
                     below = off + 1 if t.head.kind == TERMINAL else ~off
             for j in range(n, 0, -1):
-                todo.append((False, t.args[j - 1], parent, (j, link), shift, below))
+                todo.append((False, t.args[j - 1], below))
         *self.ops, self.root = ops
         self.nsym = sum(1 for op in ops if not op[0])
         self.unused = tuple(k for k in range(len(params)) if k not in seen)
@@ -359,14 +341,11 @@ def _templates(g: Scheme) -> Callable[[str], _Template]:
     return cache(lambda name: _Template(g, g.rules[name].params, g.rules[name].body))
 
 
-def _instantiate(
-    g: Scheme, tpl: _Template, node: _MNode, rec: list | None = None, horizon: int | None = None
-) -> tuple[_MNode, int]:
-    """Rewrite the redex `node` in place by running its rule's template.
-    Returns the node whose place `node` took (the argument moved to the
-    body root, or else `node`) and the change in the term's size.  `rec`,
-    if given, receives each item's node by slot, a parameter's with the
-    node map of its copy (None when the argument itself moved).
+def _instantiate(g: Scheme, tpl: _Template, node: _MNode, horizon: int | None = None) -> int:
+    """Rewrite the redex `node` in place by running its rule's template and
+    return the change in the term's size.  `node` stays where it is, with
+    the body root's symbol and kids.  Every node below it gets current
+    `redex` and `hot` flags; the nodes above are left to `_cool`.
 
     Given the evaluator's `horizon`, each new node's mark follows from the
     redex's mark and the operation's `off`.  The arguments were invisible
@@ -378,7 +357,7 @@ def _instantiate(
     delta = tpl.nsym - 1  # the redex node goes
     mark = node.vis
     room = None if horizon is None or mark < 0 else horizon - mark
-    for param, a, n, flag, hot, off, slot in tpl.ops:
+    for param, a, n, flag, hot, off in tpl.ops:
         if room is None:
             vis = _INVIS
         elif off is None:
@@ -387,12 +366,11 @@ def _instantiate(
             vis = mark + off if off < room else _BEYOND
         else:
             vis = _INVIS if ~off < room else _BEYOND
-        nodes = None
         if param:
             m = args[a]
             if flag:
-                m, nodes = _deep_copy(m)
-                delta += len(nodes)
+                m, copied = _deep_copy(m)
+                delta += copied
             if n:  # a partial application, completed by the body's arguments
                 kids = m.kids + stack[-n:]
                 del stack[-n:]
@@ -405,16 +383,13 @@ def _instantiate(
             kids = stack[len(stack) - n :]
             del stack[len(stack) - n :]
             m = _MNode(a, kids, flag, any(k.hot for k in kids) if hot is None else hot, vis)
-        if rec is not None and slot >= 0:
-            rec[slot] = (m, nodes)
         stack.append(m)
     for k in tpl.unused:
         delta -= _subtree_size(args[k]) if args[k].kids else 1
-    param, a, _, flag, hot, _, slot = tpl.root
-    inst = node
+    param, a, _, flag, hot, _ = tpl.root
     if param:  # the argument moves to the root, completed by the rest
-        inst = args[a]
-        a, stack = inst.sym, inst.kids + stack
+        m = args[a]
+        a, stack = m.sym, m.kids + stack
         flag = _is_redex_head(g, a, len(stack))
         hot = flag or any(k.hot for k in stack)
     elif hot is None:
@@ -422,121 +397,92 @@ def _instantiate(
     node.sym, node.kids, node.redex, node.hot = a, stack, flag, hot
     for k in stack:
         k.parent = node
-    if rec is not None and slot >= 0:
-        rec[slot] = (node, None)
     if param and room is not None:
         _mark(node, mark, horizon)  # type: ignore[arg-type]
-    return inst, delta
+    return delta
+
+
+def _cool(node: _MNode) -> None:
+    """Clear `hot` above `node`, a rewritten redex that no longer holds one,
+    only as far as it flips; each check reads one node's kids."""
+    p = node.parent
+    while p is not None and not p.redex and not any(k.hot for k in p.kids):
+        p.hot = False
+        p = p.parent
 
 
 def _from_term(g: Scheme, t: Term) -> _MNode:
-    """A classified mutable copy of t, one node per position (a subterm
-    that t shares gets a node at each): t's instance as a template without
-    parameters."""
-    node = _MNode(t.head, [])
-    _instantiate(g, _Template(g, (), t), node)
-    return node
+    """A flagged mutable copy of t, one node per position (a subterm that t
+    shares gets a node at each), built bottom-up with an explicit stack."""
+    rules = g.rules
+    order: list[Term] = []  # pre-order, mirrored: later arguments first
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        order.append(s)
+        stack.extend(s.args)
+    done: list[_MNode] = []  # built nodes, each node's kids in order
+    for s in reversed(order):
+        head, n = s.head, len(s.args)
+        # `_is_redex_head`, inlined: this loop runs once per node of every
+        # term `redexes` is asked about.
+        rule = rules.get(head.name) if head.kind == NONTERMINAL else None
+        redex = rule is not None and n == len(rule.params)
+        if n:
+            kids = done[len(done) - n :]
+            del done[len(done) - n :]
+            done.append(_MNode(head, kids, redex, redex or any(k.hot for k in kids)))
+        else:
+            done.append(_MNode(head, [], redex, redex))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
 # Redexes and derivations.
 
-
-class _Redex:
-    """A node of the tree of a term's redexes.  `node` is the redex in the
-    mutable term, if there is one, and `up` the nearest redex above it, or
-    the root for outermost ones.  `rel` is the position relative to `up`'s;
-    `kids` are the redexes directly below, in document order.  So a redex is
-    OI when `up` is the root and IO when it has no kids, and moving a
-    subterm re-bases its top redexes only.
-    """
-
-    __slots__ = ("rel", "head", "node", "up", "kids")
-
-    def __init__(
-        self, rel: Position, head: Symbol | None, node: _MNode | None, up: "_Redex | None"
-    ):
-        self.rel = rel
-        self.head = head
-        self.node = node
-        self.up = up
-        self.kids: list[_Redex] = []
-
-    def copy(self, nodes: dict[int, _MNode]) -> "_Redex":
-        """This subtree for a copy of its term: `nodes` maps each original
-        node's id to its copy, as `_deep_copy` returns it."""
-        top = _Redex(self.rel, self.head, nodes[id(self.node)], self.up)
-        stack = [(self, top)]
-        while stack:
-            src, dst = stack.pop()
-            for k in src.kids:
-                c = _Redex(k.rel, k.head, nodes[id(k.node)], dst)
-                dst.kids.append(c)
-                stack.append((k, c))
-        return top
+# The redexes above a node, innermost first: `(node, position length,
+# chain above it)`, or None when no redex lies above.
+_Chain = Optional[tuple]
+# A redex found by `_eligible`: its node, its RedexInfo and its chain.
+_Found = tuple[_MNode, RedexInfo, _Chain]
 
 
-def _redex_tree(g: Scheme, t: Term, m: _MNode | None = None) -> _Redex:
-    """The root of t's redex tree.  Subtrees without a redex are not
-    entered, so positions are built only on the paths to redexes.  `m`, a
-    mutable copy of t, gives each redex its node."""
-    contains: dict[int, bool] = {}
-    post: list[tuple[Term, bool]] = [(t, False)]
-    while post:
-        node, expanded = post.pop()
-        if expanded:
-            own = _is_redex_head(g, node.head, len(node.args))
-            contains[id(node)] = own or any(contains[id(a)] for a in node.args)
-            continue
-        post.append((node, True))
-        for a in node.args:
-            post.append((a, False))
-
-    root = _Redex((), None, None, None)
-    pre: list[tuple[Term, _MNode | None, _Redex, Position]] = (
-        [(t, m, root, ())] if contains[id(t)] else []
-    )
-    while pre:
-        node, mnode, above, rel = pre.pop()
-        if _is_redex_head(g, node.head, len(node.args)):
-            r = _Redex(rel, node.head, mnode, above)
-            above.kids.append(r)
-            above, rel = r, ()
-        for i in range(len(node.args), 0, -1):
-            if contains[id(node.args[i - 1])]:
-                kid = None if mnode is None else mnode.kids[i - 1]
-                pre.append((node.args[i - 1], kid, above, rel + (i,)))
-    return root
-
-
-# A redex found in the tree: itself, with its position and flags.
-_Found = tuple[_Redex, RedexInfo]
-
-
-def _eligible(root: _Redex, policy: str) -> list[_Found]:
-    """The redexes the policy allows, in document order.  Positions are put
-    together only for these: the walk carries the path as a linked list."""
-    if policy == OI:
-        return [(r, RedexInfo(r.rel, r.head, True, not r.kids)) for r in root.kids]
+def _eligible(
+    top: _MNode, policy: str, base: Position = (), above: _Chain = None
+) -> list[_Found]:
+    """The redexes at or below `top` the policy allows, in document order:
+    under `oi` each redex met stops the walk, under `io` only redexes with
+    no hot kid count.  `top` sits at position `base` below the chain
+    `above`.  Only hot nodes are entered, and positions are put together
+    only for the redexes returned: the walk carries the path as a linked
+    list and the chain as it goes."""
     out: list[_Found] = []
-    stack: list[tuple[_Redex, tuple]] = [(r, (r.rel, None)) for r in reversed(root.kids)]
+    stack = [(top, None, len(base), above)] if top.hot else []
     while stack:
-        r, path = stack.pop()
-        if policy == UNRESTRICTED or not r.kids:
-            parts, link = [], path
-            while link is not None:
-                parts.append(link[0])
-                link = link[1]
-            pos = tuple(i for rel in reversed(parts) for i in rel)
-            out.append((r, RedexInfo(pos, r.head, r.up is root, not r.kids)))
-        for k in reversed(r.kids):
-            stack.append((k, (k.rel, path)))
+        n, path, depth, chain = stack.pop()
+        kids = n.kids
+        if n.redex:
+            io = not any(k.hot for k in kids)
+            if io or policy != IO:
+                parts, link = [], path
+                while link is not None:
+                    parts.append(link[0])
+                    link = link[1]
+                parts.reverse()
+                out.append((n, RedexInfo(base + tuple(parts), n.sym, chain is None, io), chain))
+            if policy == OI:
+                continue
+            chain = (n, depth, chain)
+        depth += 1
+        for i in range(len(kids), 0, -1):
+            if kids[i - 1].hot:
+                stack.append((kids[i - 1], (i, path), depth, chain))
     return out
 
 
 def redexes(g: Scheme, t: Term) -> list[RedexInfo]:
     """All redexes of a ground term in document order, with OI/IO flags."""
-    return [info for _, info in _eligible(_redex_tree(g, t), UNRESTRICTED)]
+    return [info for _, info, _ in _eligible(_from_term(g, t), UNRESTRICTED)]
 
 
 def step(g: Scheme, t: Term, position: Position) -> Term:
@@ -555,75 +501,6 @@ def _contractum(g: Scheme, redex: Term) -> Term:
     return instantiate(rule.body, {p.name: a for p, a in zip(rule.params, redex.args)})
 
 
-def _rewrite(g: Scheme, tpl: _Template, r: _Redex) -> tuple[list[_Redex], int]:
-    """Rewrite the redex r in place, in the mutable term and in the redex
-    tree.  Returns the redexes that took r's place among its parent's kids,
-    and the change in the term's size.
-
-    A step runs the rule's compiled template, which moves each argument
-    node into the contractum at its first use and deep-copies it for later
-    ones.  The redexes inside an argument go with it, as whole subtrees,
-    copied and re-pointed along with a copy.  The template's items, in
-    document order, give the other redexes: the static ones, and a
-    parameter completed by extra arguments when its head makes a redex.
-    Nothing else in the term or in the tree changes.
-    """
-    node = r.node
-    args = node.kids
-    moved: list[list[tuple[_Redex, Position]]] = [[] for _ in args]
-    for kid in r.kids:
-        moved[kid.rel[0] - 1].append((kid, kid.rel[1:]))
-    rec: list = [None] * len(tpl.items)
-    inst, delta = _instantiate(g, tpl, node, rec)
-    top: list[_Redex] = []
-    # Per item: the redex its descendants go below, its kid list, and the
-    # descendants' base position relative to that redex.
-    below: list[tuple[_Redex, list[_Redex], Position]] = []
-    for i, (parent, rel, shift, k, opens) in enumerate(tpl.items):
-        up, into, at = (r.up, top, r.rel) if parent < 0 else below[parent]
-        if shift >= 0:
-            rel = (rel[0] + len(args[shift].kids),) + rel[1:]
-        at += rel
-        m, nodes = rec[i]
-        if opens and m.redex:
-            new = _Redex(at, m.sym, m, up)
-            into.append(new)
-            up, into, at = new, new.kids, ()
-        below.append((up, into, at))
-        for kid, rest in moved[k] if k >= 0 else ():
-            if nodes is not None:
-                kid = kid.copy(nodes)
-            kid.rel = at + rest
-            kid.up = up
-            into.append(kid)
-    if top and top[0].node is inst:  # a redex at the contractum's root
-        top[0].node = node
-    siblings = r.up.kids
-    i = bisect_left(siblings, r.rel, key=lambda x: x.rel)
-    siblings[i : i + 1] = top
-    return top, delta
-
-
-def _innermost_after(
-    root: _Redex, r: _Redex, pos: Position, new: list[_Redex], out: list[_Found]
-) -> None:
-    """Append to `out`, in document order, the innermost redexes that
-    rewriting the innermost redex r at `pos` made, `new` being the redexes
-    that took its place: the leaves of their subtrees, or r's parent if it
-    lost its last child redex.  Nothing outside the contractum is walked."""
-    base = pos[: len(pos) - len(r.rel)]  # the position of r's parent
-    stack = [(x, base + x.rel) for x in reversed(new)]
-    while stack:
-        x, p = stack.pop()
-        if x.kids:
-            stack.extend((kid, p + kid.rel) for kid in reversed(x.kids))
-        else:
-            out.append((x, RedexInfo(p, x.head, x.up is root, True)))
-    up = r.up
-    if up is not root and not up.kids:
-        out.append((up, RedexInfo(base, up.head, up.up is root, True)))
-
-
 Chooser = Callable[[Term, list[RedexInfo]], Optional[RedexInfo]]
 
 
@@ -640,21 +517,22 @@ def derive(
     redexes of the current term and rewrites them left to right before
     re-snapshotting (outermost ones under `oi`/`unrestricted`, innermost
     under `io`).  A custom chooser may return None to stop early, and must
-    pick from the eligible list.
+    return one of the eligible `RedexInfo`s it is handed.
 
-    The term is rewritten in place and its redexes are kept in a tree that
-    each step updates from the rule's template alone, so a step costs about
-    the body and its copied arguments, not the whole term.  Under `io` each
-    round after the first comes from the last round's contracta.  Only a
-    custom chooser, which is handed the current term, makes the derivation
-    keep an immutable one.
+    The term is rewritten in place, and the node flags that each step keeps
+    current give the redexes: a snapshot walks only the nodes that hold a
+    redex, so a step costs about the body and its copied arguments, not the
+    whole term.  Each round after the first comes from the last round's
+    contracta: the eligible redexes inside each, or, under `io`, the redex
+    just above one whose last inner redex is gone.  A custom chooser is handed
+    the current term and a fresh snapshot at every step; only then does the
+    derivation keep an immutable term.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if t0.type != GROUND:
         raise NotARedex("derivations start from ground terms")
     top = _from_term(g, t0)
-    root = _redex_tree(g, t0, top)
     template = _templates(g)
     size = t0.size
     chosen: list[RedexInfo] = []
@@ -664,7 +542,9 @@ def derive(
     # which attains the value tree.
     sweep = OI if policy == UNRESTRICTED else policy
     queue: list[_Found] = []
-    # Under `io`, the next round: the innermost redexes this round made.
+    # The next round: the eligible redexes this round's steps made.  Under
+    # `oi` they all lie in the contracta, since only terminal nodes, which
+    # never change, sit above an outermost redex.
     following: list[_Found] | None = None
     while True:
         if size > budget.max_term_size:
@@ -674,40 +554,44 @@ def derive(
             if not queue:
                 # The queued redexes are pairwise disjoint (none lies below
                 # another), so rewriting one leaves the others in place with
-                # the same flags: a round needs no new snapshot.
-                queue = _eligible(root, sweep) if following is None else following
-                if sweep == IO:
-                    following = []
+                # the same flags and chains: a round needs no new snapshot.
+                queue = _eligible(top, sweep) if following is None else following
+                following = []
                 queue.reverse()
                 if not queue:
                     break
             if len(chosen) >= budget.max_steps:
                 exhausted = True
                 break
-            r, info = queue.pop()
+            node, info, chain = queue.pop()
         else:
-            candidates = _eligible(root, policy)
+            candidates = _eligible(top, policy)
             if not candidates:
                 break
             if len(chosen) >= budget.max_steps:
                 exhausted = True
                 break
-            pick = chooser(term, [info for _, info in candidates])
+            pick = chooser(term, [info for _, info, _ in candidates])
             if pick is None:
                 break
-            at = {info.position: r for r, info in candidates}
-            if pick.position not in at:
+            found = {f[1].position: f for f in candidates}.get(pick.position)
+            if found is None or found[1] != pick:
                 raise PolicyViolation(
-                    f"chooser picked {pick.position} which is not an "
-                    f"eligible {policy} redex"
+                    f"chooser picked {pick}, which is not an eligible {policy} redex"
                 )
-            r, info = at[pick.position], pick
+            node, info, chain = found
             term = step(g, term, info.position)
-        new, delta = _rewrite(g, template(r.head.name), r)
-        size += delta
+        size += _instantiate(g, template(node.sym.name), node)
+        if not node.hot:
+            _cool(node)
         chosen.append(info)
         if following is not None:
-            _innermost_after(root, r, info.position, new, following)
+            pos = info.position
+            if node.hot:
+                following += _eligible(node, sweep, pos, chain)
+            elif chain is not None and not any(k.hot for k in chain[0].kids):
+                up, length, rest = chain
+                following.append((up, RedexInfo(pos[:length], up.sym, rest is None, True), rest))
     return DerivationTrace(g, t0, chosen, _to_term(top), exhausted)
 
 
@@ -731,15 +615,9 @@ class _Evaluator:
 
     def _fire(self, node: _MNode) -> None:
         """Rewrite the redex at `node` in place (one step)."""
-        _, delta = _instantiate(self.g, self.template(node.sym.name), node, None, self.depth)
-        self.size += delta
-        # The node was a redex, so it was hot.  If it cooled, clear `hot`
-        # upwards only as far as it flips; each check reads one node's kids.
+        self.size += _instantiate(self.g, self.template(node.sym.name), node, self.depth)
         if not node.hot:
-            p = node.parent
-            while p is not None and not p.redex and not any(k.hot for k in p.kids):
-                p.hot = False
-                p = p.parent
+            _cool(node)
         self.steps_used += 1
         if self.size > self.budget.max_term_size:
             self.exhausted = True

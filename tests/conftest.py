@@ -345,7 +345,7 @@ def reference_redexes(
 
 def reference_derive(g: Scheme, t0: Term, policy: str, budget: EvalBudget) -> DerivationTrace:
     """The fair derivation as a loop that rescans the whole term before every
-    step: the slow route `derive`'s incremental redex tree must agree with."""
+    step: the slow route that `derive`'s incremental rounds must agree with."""
     steps = []
     exhausted = False
     term = t0

@@ -47,8 +47,6 @@ from hors.engine import (
     _from_term,
     _instantiate,
     _MNode,
-    _redex_tree,
-    _rewrite,
     _subtree_size,
     _Template,
     _to_term,
@@ -188,9 +186,29 @@ def test_chooser_violation_raises(separating):
         derive(separating, separating.start_term(), "oi", small(), chooser=lambda t, els: bogus)
 
 
+def test_chooser_pick_must_carry_the_eligible_flags(separating):
+    """A pick at an eligible position but with other flags is refused."""
+
+    def relabel(term, eligible):
+        e = eligible[0]
+        return RedexInfo(e.position, e.nonterminal, False, False)
+
+    with pytest.raises(PolicyViolation):
+        derive(separating, separating.start_term(), "oi", small(), chooser=relabel)
+
+
 def test_chooser_none_stops(separating):
     trace = derive(separating, separating.start_term(), "oi", small(), chooser=lambda t, els: None)
     assert trace.steps == []
+    assert trace.terms == [separating.start_term()]
+
+
+def test_terms_of_a_derivation_without_steps(separating):
+    c = Term(separating.symbol("c"))
+    for policy in POLICIES:
+        trace = derive(separating, c, policy, small())
+        assert trace.chosen == [] and trace.final == c
+        assert trace.terms == [c]
 
 
 def test_chooser_receives_only_eligible(separating):
@@ -342,6 +360,20 @@ def test_fast_evaluator_matches_naive_oracle(corpus):
                 assert fast.tree == naive_tree, (render_name(g), policy)
             compared += 1
     assert compared >= 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=100_000))
+def test_value_tree_matches_the_naive_route_on_drawn_schemes(seed):
+    """The fast evaluator against `naive_value_tree`, which runs `derive`,
+    wherever neither exhausts its budget."""
+    g = gen_scheme(seed)
+    budget = EvalBudget(600, 20_000, 3)
+    for policy in ("oi", "io"):
+        fast = value_tree_report(g, policy, budget)
+        naive_tree, naive_exhausted = naive_value_tree(g, policy, budget)
+        if not (fast.exhausted or naive_exhausted):
+            assert fast.tree == naive_tree, (seed, policy)
 
 
 def test_value_tree_respects_size_cap(separating):
@@ -505,6 +537,12 @@ def test_derive_matches_full_rescans_on_generated_schemes():
         _assert_matches_reference(gen_scheme(seed), EvalBudget(250, 8_000, 3), seed)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=100_000))
+def test_derive_matches_full_rescans_on_drawn_schemes(seed):
+    _assert_matches_reference(gen_scheme(seed), EvalBudget(150, 8_000, 3), seed)
+
+
 def test_derive_moves_duplicated_argument_redexes():
     # Outermost steps copy arguments that still hold redexes (`b y y`), and
     # complete a partial application with the body's arguments (`f (f ...)`).
@@ -528,6 +566,41 @@ def test_derive_moves_duplicated_argument_redexes():
         """
     )
     _assert_matches_reference(g, EvalBudget(200, 20_000, 3), "duplicating scheme")
+
+
+def test_derive_io_climbs_through_nested_redexes():
+    # Under `io` a redex becomes innermost only once the last redex below
+    # it is gone: three H in the first round, then the outer H, G and F,
+    # each in a round of its own.
+    g = parse(
+        """
+        terminal a : o -> o
+        terminal b : o -> o -> o
+        terminal c : o
+        nonterminal S : o
+        nonterminal F : o -> o
+        nonterminal G : o -> o -> o
+        nonterminal H : o -> o
+        var x : o
+        var y : o
+        start S
+        rule S = b (F (G (H c) (H (H c)))) (H c)
+        rule F x = a x
+        rule G x y = b x y
+        rule H x = a x
+        """
+    )
+    _assert_matches_reference(g, EvalBudget(200, 20_000, 3), "nested scheme")
+    trace = derive(g, g.start_term(), "io")
+    assert [(i.position, i.nonterminal.name, i.is_oi) for i in trace.chosen] == [
+        ((), "S", True),
+        ((1, 1, 1), "H", False),
+        ((1, 1, 2, 1), "H", False),
+        ((2,), "H", True),
+        ((1, 1, 2), "H", False),
+        ((1, 1), "G", False),
+        ((1,), "F", True),
+    ]
 
 
 def test_chooser_receives_the_rescanned_eligible_list(corpus):
@@ -775,7 +848,7 @@ def _assert_static_hot(g, rule, tpl):
         holds[id(t)] = (param or any(p for p, _ in kids), redex or any(r for _, r in kids))
     ops = tpl.ops + [tpl.root]
     assert len(ops) == len(post), rule
-    for t, (param, _, _, _, hot, _, _) in zip(post, ops):
+    for t, (param, _, _, _, hot, _) in zip(post, ops):
         has_param, has_redex = holds[id(t)]
         if param:
             assert hot is None, rule
@@ -799,23 +872,27 @@ def test_template_matches_instantiate_flags_and_size(corpus):
                 want = instantiate(rule.body, {p.name: a for p, a in zip(rule.params, args)})
                 # the instance: term, flags, marks, size change
                 node = _MNode(rule.lhs, [_from_term(g, a) for a in args], vis=mark)
-                _, delta = _instantiate(g, tpl, node, None, horizon)
+                delta = _instantiate(g, tpl, node, horizon)
                 assert _to_term(node) == want, rule
                 _assert_nodes_fresh(g, node)
                 _assert_marks_fresh(node, mark, horizon)
                 assert delta == want.size - redex.size, rule
-                # the redex tree after `_rewrite` is the one a rescan finds
-                top = _from_term(g, redex)
-                root = _redex_tree(g, redex, top)
-                new, delta = _rewrite(g, tpl, root.kids[0])
-                assert _to_term(top) == want and delta == want.size - redex.size, rule
-                found = _eligible(root, UNRESTRICTED)
-                assert [info for _, info in found] == redexes(g, want), rule
-                for r, info in found:
-                    at = top
-                    for i in info.position:
+                # the walk over the instance's flags finds what a rescan finds
+                found = _eligible(node, UNRESTRICTED)
+                infos = [info for _, info, _ in found]
+                assert infos == redexes(g, want) == reference_redexes(g, want), rule
+                for r, info, chain in found:
+                    at, above = node, []  # the redexes strictly above r
+                    for depth, i in enumerate(info.position):
+                        if at.redex:
+                            above.insert(0, (at, depth))
                         at = at.kids[i - 1]
-                    assert r.node is at, (rule, info)
+                    assert r is at, (rule, info)
+                    links = []
+                    while chain is not None:
+                        up, length, chain = chain
+                        links.append((up, length))
+                    assert links == above, (rule, info)
                 checked += 1
     assert checked > 1_000
 

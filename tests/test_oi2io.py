@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hors import (
     EvalBudget,
@@ -17,6 +19,7 @@ from hors import (
     scheme_order,
     validate,
     value_tree,
+    value_tree_report,
 )
 from hors.core import (
     Arrow,
@@ -31,6 +34,8 @@ from hors.core import (
 )
 from hors.oi2io import bar_term, bar_type, make_bar_context
 from hors.scheme import Rule, Scheme
+
+from conftest import gen_scheme
 
 
 
@@ -232,6 +237,18 @@ def test_bar_io_matches_source_oi_on_order3(order3):
     gb = bar_scheme(order3)
     budget = EvalBudget(10_000, 100_000, 3)
     assert value_tree(gb, "io", budget) == value_tree(order3, "oi", budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=100_000))
+def test_bar_io_matches_source_oi_on_drawn_schemes(seed):
+    """The OI tree of g is the IO tree of its barred image, wherever both
+    runs finish within their budgets."""
+    g = gen_scheme(seed)
+    oi = value_tree_report(g, "oi", EvalBudget(2_000, 100_000, 3))
+    io = value_tree_report(bar_scheme(g), "io", EvalBudget(8_000, 100_000, 3))
+    if not (oi.exhausted or io.exhausted):
+        assert io.tree == oi.tree, seed
 
 
 def test_bar_context_invariants(order3):
