@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .core import HorsError, PartialTree
@@ -253,9 +254,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
         print(f"nbvar[{ty}] = {n}", file=sys.stderr)
     if report.voided_rules:
         print("voided: " + " ".join(report.voided_rules), file=sys.stderr)
-    if report.unreachable:
+    if report.unreachable_count:
         print(
-            f"unreachable annotated copies: {len(report.unreachable)} (pruned)",
+            f"unreachable annotated copies: {report.unreachable_count} (pruned)",
             file=sys.stderr,
         )
     return 0
@@ -308,13 +309,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: parsing leaves no state in it, and building
+    it costs about as much as a small command."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as e:
+        print(f"error: {args.input}: not UTF-8: {e}", file=sys.stderr)
         return 1
     except InvalidScheme as e:
         for d in e.diagnostics:

@@ -14,14 +14,16 @@ Only the copies reachable from the start can affect the value tree, and
 most copies are not, so `self_correct_report` builds the corrected G'' on
 demand: a worklist from the start symbol's copy judges and emits each copy it
 reaches, and never builds or judges the others.  The annotated symbol tables
-(`Labeling`) stay eager, so names are those of the full construction.
+(`Labeling`) name and build a copy on its first lookup, so a call pays only
+for the copies it uses; names are those of the full construction.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Callable
 
 from .core import (
     GROUND,
@@ -76,6 +78,36 @@ def mask_tuples(t: SimpleType) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(*spaces))
 
 
+@lru_cache(maxsize=None)
+def _conj_index(t: SimpleType) -> dict[int, int]:
+    """Each conjunction mask of a type to its place in `conj_masks`."""
+    return {m: i for i, m in enumerate(conj_masks(t))}
+
+
+def tuple_index(t: SimpleType, tup: tuple[int, ...]) -> int:
+    """The index of an annotation tuple in `mask_tuples(t)`, found without
+    building them: they are a product, so the index is mixed-radix.  Raises
+    KeyError for a tuple that is not among them."""
+    args = argument_types(t)
+    if len(tup) != len(args):
+        raise KeyError(tup)
+    idx = 0
+    for arg, mask in zip(args, tup):
+        idx = (idx << enumerable_width(arg)) | _conj_index(arg)[mask]
+    return idx
+
+
+def index_tuple(t: SimpleType, idx: int) -> tuple[int, ...]:
+    """`mask_tuples(t)[idx]`, found without building them."""
+    out = []
+    for arg in reversed(argument_types(t)):
+        width = enumerable_width(arg)
+        out.append(conj_masks(arg)[idx & ((1 << width) - 1)])
+        idx >>= width
+    return tuple(reversed(out))
+
+
+@lru_cache(maxsize=None)
 def plus_type(t: SimpleType) -> SimpleType:
     """Duplicate each argument type once per annotation tuple it admits.
 
@@ -102,32 +134,99 @@ class AnnotatedSymbol:
     annotation: tuple[int, ...]
 
 
+class _Copies(dict):
+    """A table that builds a missing entry on its first lookup."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        return self.fill(key)
+
+
 class Labeling:
-    """Annotated symbol tables for one scheme plus its analysis."""
+    """Annotated symbol tables for one scheme plus its analysis.
+
+    `nt_ann` and `var_ann` map (base name, annotation tuple) to an annotated
+    copy, and `ann_of` maps a copy's name back to its base and annotation.
+    The copy of `X` is named `X` for the empty annotation and `X#idx`
+    otherwise, `idx` being the tuple's index in `mask_tuples`, primed by
+    `fresh_name` against the terminals and every copy registered before it.
+    When no source name holds `#` and no name is declared twice, no two of
+    these names can meet and no prime is ever added: each copy is then named
+    and built on its first lookup, so a call pays only for the copies it
+    uses.  Otherwise every copy is registered at once, in declaration and
+    tuple order, by the same routine.
+    """
 
     def __init__(self, g: Scheme, analysis: Analysis | None = None):
         self.analysis = analysis if analysis is not None else Analysis(g)
-        taken = set(g.terminals)
-        self.nt_ann: dict[tuple[str, tuple[int, ...]], Symbol] = {}
-        self.var_ann: dict[tuple[str, tuple[int, ...]], Symbol] = {}
-        self.ann_of: dict[str, AnnotatedSymbol] = {}
+        self._g = g
+        self.nt_ann = _Copies(lambda key: self._fill(g.nonterminals[key[0]], key[1]).symbol)
+        self.var_ann = _Copies(lambda key: self._fill(g.variables[key[0]], key[1]).symbol)
+        self.ann_of = _Copies(self._by_name)
+        self._taken: set[str] | None = None
+        names = [*g.terminals, *g.nonterminals, *g.variables]
+        if len(set(names)) < len(names) or any("#" in n for n in names):
+            self._taken = set(g.terminals)
+            for sym in (*g.nonterminals.values(), *g.variables.values()):
+                plus = plus_type(sym.type)
+                for idx, tup in enumerate(mask_tuples(sym.type)):
+                    self._fill(sym, tup, idx, plus)
 
-        def register(
-            table: dict, sym: Symbol, kind: str
-        ) -> None:
+    def _fill(
+        self,
+        sym: Symbol,
+        tup: tuple[int, ...],
+        idx: int | None = None,
+        plus: SimpleType | None = None,
+    ) -> AnnotatedSymbol:
+        """Name, build and register the copy of a base symbol for a tuple.
+        `idx` and `plus` are the tuple's index and the copies' type, when
+        the caller already has them."""
+        if idx is None:
+            idx = tuple_index(sym.type, tup)
+        if plus is None:
             plus = plus_type(sym.type)
-            for idx, tup in enumerate(mask_tuples(sym.type)):
-                name = sym.name if not tup else f"{sym.name}#{idx}"
-                name = fresh_name(name, taken)
-                taken.add(name)
-                annotated = Symbol(name, kind, plus)
-                table[(sym.name, tup)] = annotated
-                self.ann_of[name] = AnnotatedSymbol(annotated, sym, tup)
+        name = f"{sym.name}#{idx}" if tup else sym.name
+        if self._taken is not None:
+            name = fresh_name(name, self._taken)
+            self._taken.add(name)
+        annotated = Symbol(name, sym.kind, plus)
+        table = self.nt_ann if sym.kind == NONTERMINAL else self.var_ann
+        table[(sym.name, tup)] = annotated
+        info = self.ann_of[name] = AnnotatedSymbol(annotated, sym, tup)
+        return info
 
-        for sym in g.nonterminals.values():
-            register(self.nt_ann, sym, NONTERMINAL)
-        for sym in g.variables.values():
-            register(self.var_ann, sym, VARIABLE)
+    def _by_name(self, name: str) -> AnnotatedSymbol:
+        """The copy a name denotes, when the tables fill on demand."""
+        base, _, digits = name.partition("#")
+        sym = self._g.nonterminals.get(base) or self._g.variables.get(base)
+        idx = int(digits) if digits.isdecimal() else 0
+        if (
+            self._taken is None
+            and sym is not None
+            and idx < nbvar(sym.type)
+            and name == (base if sym.type == GROUND else f"{base}#{idx}")
+        ):
+            return self._fill(sym, index_tuple(sym.type, idx), idx)
+        raise KeyError(name)
+
+    def copies(self, sym: Symbol) -> list[Symbol]:
+        """Every annotated copy of a base symbol, in tuple order."""
+        table = self.nt_ann if sym.kind == NONTERMINAL else self.var_ann
+        return [table[(sym.name, tup)] for tup in mask_tuples(sym.type)]
+
+    def fresh(self, base: str) -> str:
+        """`base`, primed until no terminal and no copy has that name.
+        `base` holds no `#`, so only the copies of ground symbols, named as
+        their bases, can take it when the tables fill on demand."""
+        if self._taken is not None:
+            return fresh_name(base, self._taken)
+        g = self._g
+        ground = [s.name for s in (*g.nonterminals.values(), *g.variables.values()) if s.type == GROUND]
+        return fresh_name(base, {*g.terminals, *ground})
 
     def plus_term(
         self, t: Term, venv: dict[str, int], annotation: tuple[int, ...]
@@ -198,8 +297,8 @@ def label_scheme(g: Scheme, analysis: Analysis | None = None) -> Scheme:
             rules[rule.lhs.name] = rule
     return Scheme(
         terminals=dict(g.terminals),
-        nonterminals={s.name: s for s in lab.nt_ann.values()},
-        variables={s.name: s for s in lab.var_ann.values()},
+        nonterminals={s.name: s for f in g.nonterminals.values() for s in lab.copies(f)},
+        variables={s.name: s for v in g.variables.values() for s in lab.copies(v)},
         rules=rules,
         start=lab.nt_ann[(g.start.name, ())],
     )
@@ -213,11 +312,18 @@ class CorrectionReport:
     labeled_rules: int  # rules of the full labeling G'
     voided_rules: tuple[str, ...]  # emitted rules redirected to Void
     nbvar_table: tuple[tuple[str, int], ...]  # rendered type -> width
-    unreachable: tuple[str, ...]  # annotated copies (and Void) not emitted
+    unreachable_count: int  # annotated copies (and Void) not emitted
+    _unreachable: Callable[[], tuple[str, ...]] = field(repr=False, compare=False)
 
     @property
     def voided_count(self) -> int:
         return len(self.voided_rules)
+
+    @cached_property
+    def unreachable(self) -> tuple[str, ...]:
+        """The names of the copies (and Void) not emitted, in declaration
+        and tuple order; named on first read, which may be many."""
+        return self._unreachable()
 
 
 def self_correct_report(
@@ -229,12 +335,14 @@ def self_correct_report(
     reaches rewrites to `Void` when the analysis judges its annotated head
     bottom-producing, and to its labeled body otherwise; the annotated
     non-terminals of that body are reached in turn.  The result is the
-    reachable part of the fully labeled and corrected scheme.  The symbol
-    tables stay eager, so names and variable declarations are those of G'.
+    reachable part of the fully labeled and corrected scheme: names, the
+    order of non-terminals (Void last) and the variable declarations, every
+    copy of every variable, are those of G'.  Only the reached copies and the
+    variable copies are named and built.
     """
     lab = Labeling(g, analysis)
     analysis = lab.analysis
-    void = Symbol(fresh_name("Void", set(g.terminals) | set(lab.ann_of)), NONTERMINAL, GROUND)
+    void = Symbol(lab.fresh("Void"), NONTERMINAL, GROUND)
 
     # Annotation tuples share prefixes, so partial applications are cached:
     # (base name, annotation prefix) -> (mask, layout of the type left).
@@ -253,7 +361,7 @@ def self_correct_report(
         return hit
 
     start = lab.nt_ann[(g.start.name, ())]
-    reached = {start.name}
+    reached = {start.name: start}
     work = [start]
     built: dict[str, Rule] = {}
     voided: set[str] = set()
@@ -275,18 +383,29 @@ def self_correct_report(
         built[annotated.name] = rule
         for head in _heads(rule.body):
             if head.kind == NONTERMINAL and head.name not in reached:
-                reached.add(head.name)
+                reached[head.name] = head
                 work.append(head)
 
-    copies = [*lab.nt_ann.values(), void]
-    nonterminals = {s.name: s for s in copies if s.name in reached}
+    # The reached copies in the order of G': by declaration, then by tuple.
+    declared = {name: i for i, name in enumerate(g.nonterminals)}
+
+    def place(sym: Symbol) -> tuple[int, int]:
+        info = lab.ann_of[sym.name]
+        return declared[info.base.name], tuple_index(info.base.type, info.annotation)
+
+    live = sorted((s for s in reached.values() if s is not void), key=place)
+    nonterminals = {s.name: s for s in (*live, void) if s.name in reached}
     corrected = Scheme(
         terminals=dict(g.terminals),
         nonterminals=nonterminals,
-        variables={s.name: s for s in lab.var_ann.values()},
+        variables={s.name: s for v in g.variables.values() for s in lab.copies(v)},
         rules={n: built[n] for n in nonterminals if n in built},
         start=start,
     )
+
+    def unreachable() -> tuple[str, ...]:
+        copies = [s for f in g.nonterminals.values() for s in lab.copies(f)]
+        return tuple(s.name for s in (*copies, void) if s.name not in reached)
 
     seen_types: dict[str, int] = {}
     for f in g.nonterminals.values():
@@ -297,6 +416,7 @@ def self_correct_report(
         labeled_rules=sum(nbvar(r.lhs.type) for r in g.rules.values()),
         voided_rules=tuple(n for n in nonterminals if n in voided),
         nbvar_table=tuple(sorted(seen_types.items())),
-        unreachable=tuple(s.name for s in copies if s.name not in reached),
+        unreachable_count=sum(nbvar(f.type) for f in g.nonterminals.values()) + 1 - len(reached),
+        _unreachable=unreachable,
     )
     return corrected, report

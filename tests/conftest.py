@@ -39,7 +39,7 @@ from hors.core import (
     variable,
 )
 from hors.engine import DerivationTrace, RedexInfo
-from hors.io2oi import Labeling
+from hors.io2oi import AnnotatedSymbol, Labeling, mask_tuples, plus_type
 from hors.scheme import (
     _RESERVED,
     Rule,
@@ -379,6 +379,49 @@ def reference_derive(g: Scheme, t0: Term, policy: str, budget: EvalBudget) -> De
     # Its steps are the ones this loop made, not a replay of its choices.
     trace._replayed = steps
     return trace
+
+
+class EagerLabeling(Labeling):
+    """The labeling tables that `Labeling` replaced: every copy of every
+    non-terminal and variable is named with `fresh_name` against the
+    terminals and all copies before it, and built, before any lookup.  The
+    rest of the labeling is `Labeling`'s own."""
+
+    def __init__(self, g: Scheme, analysis: Analysis | None = None):
+        self.analysis = analysis if analysis is not None else Analysis(g)
+        taken = set(g.terminals)
+        self.nt_ann: dict = {}
+        self.var_ann: dict = {}
+        self.ann_of: dict = {}
+        for table, syms, kind in (
+            (self.nt_ann, g.nonterminals, NONTERMINAL),
+            (self.var_ann, g.variables, VARIABLE),
+        ):
+            for sym in syms.values():
+                plus = plus_type(sym.type)
+                for idx, tup in enumerate(mask_tuples(sym.type)):
+                    name = fresh_name(sym.name if not tup else f"{sym.name}#{idx}", taken)
+                    taken.add(name)
+                    annotated = Symbol(name, kind, plus)
+                    table[(sym.name, tup)] = annotated
+                    self.ann_of[name] = AnnotatedSymbol(annotated, sym, tup)
+
+
+def reference_label_scheme(g: Scheme, analysis: Analysis | None = None) -> Scheme:
+    """G' from the eager tables, declared in their registration order."""
+    lab = EagerLabeling(g, analysis)
+    rules = {}
+    for base_rule in g.rules.values():
+        for tup in mask_tuples(base_rule.lhs.type):
+            rule = lab.rule(base_rule, tup)
+            rules[rule.lhs.name] = rule
+    return Scheme(
+        terminals=dict(g.terminals),
+        nonterminals={s.name: s for s in lab.nt_ann.values()},
+        variables={s.name: s for s in lab.var_ann.values()},
+        rules=rules,
+        start=lab.nt_ann[(g.start.name, ())],
+    )
 
 
 def reference_self_correct(gprime: Scheme, lab: Labeling) -> tuple[Scheme, tuple[str, ...]]:

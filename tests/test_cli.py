@@ -415,9 +415,12 @@ def test_analyze_rejects_barred_schemes(tmp_path, capsys):
     assert "no rule" in err
 
 
-def test_benchmark_tracer_targets_resolve():
+def test_benchmark_tracer_targets_resolve(capsys):
     """perfbench/tracing.py wraps program functions by module and name; a
-    name it cannot find fails every traced benchmark run at install."""
+    name it cannot find fails every traced benchmark run at install, and a
+    result it can no longer read (`CorrectionReport`, `Analysis.env`) fails
+    it at the first job.  So the tracer is installed here, fed by one run of
+    each traced command, and taken out again."""
     import importlib
     import importlib.util
 
@@ -426,5 +429,114 @@ def test_benchmark_tracer_targets_resolve():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.TARGETS
+    originals = {}
     for mod, attr, _ in tracing.TARGETS:
-        assert callable(getattr(importlib.import_module(mod), attr)), (mod, attr)
+        originals[mod, attr] = getattr(importlib.import_module(mod), attr)
+        assert callable(originals[mod, attr]), (mod, attr)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cli = importlib.import_module("hors.cli")
+        for argv in (
+            ["analyze", DROPPER],
+            ["transform", DROPPER, "--to", "oi"],
+            ["valuetree", SEPARATING, "--policy", "io", "--steps", "100"],
+            ["derive", DROPPER, "--steps", "5"],
+        ):
+            assert cli.main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for (mod, attr), fn in originals.items():
+        assert getattr(importlib.import_module(mod), attr) is fn, (mod, attr)
+    for counter in (
+        "scheme.parse_nodes",
+        "typesys.iterations",
+        "typesys.fixpoint_atoms",
+        "io2oi.voided_rules",
+        "io2oi.emitted_rules",
+        "io2oi.live_rules",
+        "engine.io_steps",
+        "engine.derive_steps",
+    ):
+        assert tracer.counts[counter] > 0, counter
+    spans = {span[0] for span in tracer.spans}
+    assert {"cli.main", "typesys.analysis", "io2oi.correct", "engine.io", "engine.derive"} <= spans
+
+
+def test_os_and_decode_errors_are_domain_errors(tmp_path, capsys):
+    """A directory as input or as `--out`, and an input that is not UTF-8,
+    each give one `error:` line and exit 1.  An unreadable input raises
+    `PermissionError`, an `OSError` too; it is not tested, because a test
+    run as root reads every file."""
+    bad = tmp_path / "bad.hors"
+    bad.write_bytes(b"\xff")
+    for argv in (
+        ["check", str(tmp_path)],
+        ["analyze", str(tmp_path)],
+        ["check", DROPPER, "--out", str(tmp_path)],
+        ["transform", DROPPER, "--to", "oi", "--out", str(tmp_path)],
+        ["check", str(bad)],
+        ["valuetree", str(bad), "--policy", "io"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
+
+
+def test_main_reuses_one_parser_and_leaks_no_state(tmp_path, capsys, monkeypatch):
+    """`main` parses every call with one parser.  Across every subcommand,
+    usage errors and `--help`, with flags set in one call and left out in
+    the next, its outputs and exit codes are those of a fresh parser per
+    call."""
+    import hors.cli as cli
+
+    chain = tmp_path / "chain.hors"
+    chain.write_text(
+        "terminal a : o -> o\nterminal c : o\nnonterminal S : o\nnonterminal F : o -> o\n"
+        "var x : o\nstart S\nrule S = F (F (F (F c)))\nrule F x = a x\n"
+    )
+    calls = [
+        ["check", DROPPER],
+        ["valuetree", SEPARATING, "--policy", "oi", "--depth", "2", "--steps", "40",
+         "--format", "structured"],
+        ["valuetree", SEPARATING, "--policy", "io"],
+        ["derive", str(chain), "--steps", "2", "--trace"],
+        ["derive", str(chain), "--trace"],
+        ["analyze", DROPPER, "--format", "structured"],
+        ["analyze", DROPPER],
+        ["transform", DROPPER, "--to", "oi"],
+        ["transform", DROPPER, "--to", "io", "--out", str(tmp_path / "barred.hors")],
+        ["valuetree", SEPARATING, "--policy", "bogus"],
+        ["transform", DROPPER],
+        ["--help"],
+        ["derive", "--help"],
+        ["check", "no-such-file.hors"],
+        [],
+        ["valuetree", ORDER3, "--steps", "2000", "--depth", "2", "--policy", "oi"],
+        ["valuetree", ORDER3, "--policy", "oi"],
+    ]
+
+    def route():
+        got = []
+        for argv in calls:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as e:
+                code = ("exit", e.code)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    assert cli._parser() is cli._parser()
+    reused = route()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cli._parser() is not cli._parser()
+    fresh = route()
+    assert reused == fresh
+    assert {code for code, _, _ in reused} == {0, 1, ("exit", 0), ("exit", 2)}
+    # The flags of one call are not the defaults of the next.
+    assert reused[1][1] != reused[2][1] and reused[3][1] != reused[4][1]
+    assert reused[15] != reused[16]

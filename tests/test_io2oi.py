@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,8 @@ from hors import (
     Analysis,
     AnalysisInfeasible,
     EvalBudget,
+    Scheme,
+    Symbol,
     Term,
     derive,
     label_scheme,
@@ -21,12 +24,23 @@ from hors import (
     value_tree_report,
 )
 from hors.core import BOT, GROUND, arrow, term_to_str
-from hors.io2oi import Labeling, mask_tuples, nbvar, plus_type, sigma_tuples
+from hors.io2oi import (
+    Labeling,
+    index_tuple,
+    mask_tuples,
+    nbvar,
+    plus_type,
+    sigma_tuples,
+    tuple_index,
+)
+from hors.scheme import Rule
 from hors.typesys import enum_conj
 
 from conftest import (
+    EagerLabeling,
     applier_scheme,
     gen_scheme,
+    reference_label_scheme,
     reference_prune,
     reference_self_correct,
     twice_scheme,
@@ -139,9 +153,24 @@ def test_self_correct_mini_golden(dropper):
     assert ("o", 1) in report.nbvar_table
 
 
+def _assert_matches_the_eager_route(g, an):
+    """`label_scheme` and `self_correct_report` against the eager tables:
+    G' byte for byte, and G'' as the reachable part of the eagerly corrected
+    G', leaving out exactly its unreachable copies."""
+    gp = reference_label_scheme(g, an)
+    assert render(label_scheme(g, an)) == render(gp)
+    gpp, voided = reference_self_correct(gp, EagerLabeling(g, an))
+    pruned = reference_prune(gpp)
+    live, report = self_correct_report(g, an)
+    assert render(live) == render(pruned)
+    unreachable = tuple(n for n in gpp.nonterminals if n not in pruned.nonterminals)
+    assert report.unreachable_count == len(unreachable)
+    assert report.unreachable == unreachable
+    assert report.voided_rules == tuple(n for n in voided if n in pruned.rules)
+    assert report.labeled_rules == len(gpp.rules) - 1
+
+
 def test_self_correct_report_matches_the_eager_reference(corpus, analysis_corpus):
-    """The demand-driven correction is the reachable part of the eager one,
-    byte for byte, and leaves out exactly its unreachable copies."""
     schemes = {id(g): g for g in corpus + analysis_corpus}.values()
     checked = 0
     for g in schemes:
@@ -149,15 +178,96 @@ def test_self_correct_report_matches_the_eager_reference(corpus, analysis_corpus
             an = Analysis(g)
         except AnalysisInfeasible:
             continue
-        gpp, voided = reference_self_correct(label_scheme(g, an), Labeling(g, an))
-        pruned = reference_prune(gpp)
-        live, report = self_correct_report(g, an)
-        assert render(live) == render(pruned)
-        assert report.unreachable == tuple(n for n in gpp.nonterminals if n not in pruned.nonterminals)
-        assert report.voided_rules == tuple(n for n in voided if n in pruned.rules)
-        assert report.labeled_rules == len(gpp.rules) - 1
+        _assert_matches_the_eager_route(g, an)
         checked += 1
     assert checked >= 20
+
+
+def _renamed(g, picks, hashes=True):
+    """`g` with its symbols renamed so that labeled names may collide: a
+    name may gain a prime, become `Void` or another name with a prime, or,
+    with `hashes`, another name followed by `#k`.  A name already taken
+    falls back to a fresh one."""
+    names = [*g.terminals, *g.nonterminals, *g.variables]
+    new, used = {}, set()
+    for i, (name, pick) in enumerate(zip(names, picks)):
+        other = names[pick % len(names)]
+        choices = (name, name + "'", "Void", f"{other}'", f"{other}#{pick % 4}")
+        choice = choices[pick % (5 if hashes else 4)]
+        if choice in used:
+            choice = f"{name}_{i}"
+        new[name] = choice
+        used.add(choice)
+    sym = {
+        s.name: Symbol(new[s.name], s.kind, s.type)
+        for table in (g.terminals, g.nonterminals, g.variables)
+        for s in table.values()
+    }
+
+    def term(t):
+        return Term(sym[t.head.name], tuple(term(a) for a in t.args))
+
+    return Scheme(
+        {sym[n].name: sym[n] for n in g.terminals},
+        {sym[n].name: sym[n] for n in g.nonterminals},
+        {sym[n].name: sym[n] for n in g.variables},
+        {sym[n].name: Rule(sym[n], tuple(sym[p.name] for p in r.params), term(r.body)) for n, r in g.rules.items()},
+        sym[g.start.name],
+    ).check()
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=100_000),
+    st.lists(st.integers(min_value=0, max_value=60), min_size=16, max_size=16),
+    st.booleans(),
+)
+def test_labeling_matches_the_eager_tables_on_drawn_names(seed, picks, hashes):
+    """Names with primes, and with `#` or not: the tables, filled on demand
+    or at once, hold exactly the eager ones, looked up by key or by name,
+    and both routes print the same G' and G''."""
+    g = _renamed(gen_scheme(seed), picks, hashes)
+    try:
+        an = Analysis(g)
+    except AnalysisInfeasible:
+        return
+    eager, lab = EagerLabeling(g, an), Labeling(g, an)
+    for name, info in eager.ann_of.items():
+        assert lab.ann_of[name] == info
+    for key, copy in [*eager.nt_ann.items(), *eager.var_ann.items()]:
+        table = lab.nt_ann if key in eager.nt_ann else lab.var_ann
+        assert table[key] == copy
+    assert dict(lab.ann_of) == eager.ann_of
+    for bad in ("S#0", "Void", f"{g.start.name}#", "nosuch#1"):
+        if bad not in eager.ann_of:
+            with pytest.raises(KeyError):
+                lab.ann_of[bad]
+    _assert_matches_the_eager_route(g, an)
+
+
+def test_on_demand_tables_build_only_what_is_looked_up(dropper):
+    """Without `#` in any name, nothing is built before a lookup; a copy is
+    found by key or by name, and a name no copy has is a KeyError."""
+    lab = Labeling(dropper)
+    assert not lab.nt_ann and not lab.var_ann and not lab.ann_of
+    f = lab.ann_of["F#3"]
+    assert (f.base.name, f.annotation) == ("F", mask_tuples(f.base.type)[3])
+    assert lab.nt_ann[("F", f.annotation)] is f.symbol
+    assert len(lab.nt_ann) == len(lab.ann_of) == 1
+    for bad in ("F#4", "F#03", "F", "S#0", "Void", "x#0"):
+        with pytest.raises(KeyError):
+            lab.ann_of[bad]
+    with pytest.raises(KeyError):
+        lab.nt_ann[("F", ())]
+    assert [tuple_index(f.base.type, t) for t in mask_tuples(f.base.type)] == [0, 1, 2, 3]
+    assert [index_tuple(f.base.type, i) for i in range(4)] == list(mask_tuples(f.base.type))
+
+    # A ground variable keeps its name, so `Void` is fresh against it too.
+    g = _renamed(dropper, [0, 0, 0, 0, 0, 2])
+    assert g.variables["Void"].type == GROUND
+    live, _ = self_correct_report(g)
+    assert live.rules["S"].body == Term(live.nonterminals["Void'"])
+    _assert_matches_the_eager_route(g, Analysis(g))
 
 
 def _budget(depth=3):
