@@ -201,16 +201,18 @@ class Term:
         # much cheaper to hash than the symbol with its type.
         object.__setattr__(self, "_hash", hash((head.name, args)))
 
-    @classmethod
-    def _with_args(cls, like: "Term", args: tuple["Term", ...], size: int) -> "Term":
-        """`like`'s head applied to `args`, which must have the types of
-        `like.args`: the constructor's checks are skipped."""
-        t = object.__new__(cls)
-        object.__setattr__(t, "head", like.head)
-        object.__setattr__(t, "args", args)
-        object.__setattr__(t, "type", like.type)
-        object.__setattr__(t, "size", size)
-        object.__setattr__(t, "_hash", hash((like.head.name, args)))
+    @staticmethod
+    def _trusted(head: Symbol, args: tuple["Term", ...], type: SimpleType, size: int) -> "Term":
+        """`head` applied to `args`, of type `type` with `size` nodes.  The
+        caller has already checked every argument against `head`'s type, so
+        the constructor's checks are skipped; the slots are set through
+        their descriptors, which bypasses the immutability guard."""
+        t = _new_term(Term)
+        _set_head(t, head)
+        _set_args(t, args)
+        _set_type(t, type)
+        _set_size(t, size)
+        _set_hash(t, hash((head.name, args)))
         return t
 
     def __setattr__(self, name, value):
@@ -240,6 +242,14 @@ class Term:
 
     def __repr__(self) -> str:
         return f"Term({term_to_str(self)})"
+
+
+_new_term = object.__new__
+_set_head = Term.head.__set__
+_set_args = Term.args.__set__
+_set_type = Term.type.__set__
+_set_size = Term.size.__set__
+_set_hash = Term._hash.__set__
 
 
 def term_to_str(t: Term) -> str:
@@ -297,7 +307,7 @@ def replace_at(t: Term, position: Position, s: Term) -> Term:
     for node, i in zip(reversed(spine[:-1]), reversed(position)):
         args = node.args[: i - 1] + (result,) + node.args[i:]
         size = node.size - node.args[i - 1].size + result.size
-        result = Term._with_args(node, args, size)
+        result = Term._trusted(node.head, args, node.type, size)
     return result
 
 

@@ -8,7 +8,6 @@ OI-to-IO transformation relies on exactly one such token.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,7 +110,10 @@ def scheme_order(g: Scheme) -> int:
 
 
 def validate(g: Scheme) -> list[str]:
-    """All invariant violations, with locations; empty means the scheme is ok."""
+    """All invariant violations, with locations; empty means the scheme is ok.
+
+    `parse` establishes these invariants as it reads, so this is for
+    schemes built or edited by hand."""
     out: list[str] = []
     seen: dict[str, str] = {}
     for table, kind in (
@@ -244,13 +246,21 @@ def with_start(g: Scheme, t: Term) -> Scheme:
 #   rule <F> <x1> ... <xk> = <term>
 #
 # Types use `o` and right-associative `->`; terms are applicative with
-# parentheses.  Lines starting with `//` are comments.
+# parentheses.  A line ends at `\n`, `\r\n` or `\r`, the line endings that
+# text-mode `open()` translates; every other character for which
+# `str.isspace()` is true separates tokens inside a line.  A line whose
+# first token starts with `//` is a comment.
 
 _RESERVED = {"terminal", "nonterminal", "var", "start", "rule", ":", "=", "->", "(", ")"}
 
 
-# `\s` matches exactly the characters for which `str.isspace()` is true.
-_tokenize = re.compile(r"[()]|[^\s()]+").findall
+def _spaced_lines(text: str) -> list[str]:
+    """The lines of `text` with every parenthesis spaced out, so that
+    `str.split` cuts a line into its tokens: each parenthesis, and each
+    maximal run of characters that are neither whitespace nor parentheses."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.replace("(", " ( ").replace(")", " ) ").split("\n")
 
 
 class _TypeParser:
@@ -296,14 +306,16 @@ def _parse_term(
     """One left-to-right pass over `tokens` with an explicit stack, so a
     body of any depth is read.
 
-    An open application is a frame `[head, args, remaining type]`; a frame
-    whose head is not read yet is None.  Each argument is checked against
-    the remaining type as it is appended, so errors come in token order,
-    and each application's `Term` is built once, when its frame closes.  A
-    parenthesised head, as in `(f x) y`, goes on filling its own frame.
-    A name is read as its leaf in the rule's `params`, else in `leaves`,
-    which holds one shared leaf per terminal and non-terminal.
+    An open application is a frame `[head leaf, args, remaining type, node
+    count]`; a frame whose head is not read yet is None.  Each argument is
+    checked against the remaining type as it is appended, so errors come in
+    token order, and each application's `Term` is built once, unchecked,
+    when its frame closes; a frame without arguments is its head's leaf.  A
+    parenthesised head, as in `(f x) y`, goes on filling its own frame.  A
+    name is read as its leaf in the rule's `params`, else in `leaves`, which
+    holds one shared leaf per terminal and non-terminal.
     """
+    trusted = Term._trusted
     stack: list[list | None] = []
     frame: list | None = None
     for tok in tokens:
@@ -319,7 +331,8 @@ def _parse_term(
             outer = stack.pop()
             if outer is None:
                 continue  # a parenthesised head: its frame is the outer one
-            arg = Term(frame[0], frame[1])
+            leaf, args, remaining, size = frame
+            arg = trusted(leaf.head, tuple(args), remaining, size) if args else leaf
             frame = outer
         elif tok in _RESERVED:
             raise SchemeParseError(f"unexpected {tok!r} in term", line)
@@ -328,33 +341,47 @@ def _parse_term(
             if arg is None:
                 raise SchemeParseError(f"undeclared symbol {tok!r}", line)
             if frame is None:
-                frame = [arg.head, [], arg.type]
+                frame = [arg, [], arg.type, 1]
                 continue
-        head, args, remaining = frame
+        leaf, args, remaining, size = frame
         if not isinstance(remaining, Arrow):
             raise SchemeParseError(
-                f"{head.name} applied to {len(args) + 1} arguments but has "
-                f"arity {arity(head.type)}",
+                f"{leaf.head.name} applied to {len(args) + 1} arguments but has "
+                f"arity {arity(leaf.type)}",
                 line,
             )
         want = remaining.argument
         if arg.type is not want and arg.type != want:
             raise SchemeParseError(
-                f"argument {len(args) + 1} of {head.name} has type "
+                f"argument {len(args) + 1} of {leaf.head.name} has type "
                 f"{type_to_str(arg.type)}, expected {type_to_str(want)}",
                 line,
             )
         args.append(arg)
         frame[2] = remaining.result
+        frame[3] = size + arg.size
     if frame is None:
         raise SchemeParseError("term ended unexpectedly", line)
     if stack:
         raise SchemeParseError("missing ) in term", line)
-    return Term(frame[0], frame[1])
+    leaf, args, remaining, size = frame
+    return trusted(leaf.head, tuple(args), remaining, size) if args else leaf
 
 
 def parse(text: str) -> Scheme:
-    """Parse the textual scheme format; validates before returning."""
+    """Parse the textual scheme format into a scheme that satisfies every
+    invariant of `validate`.
+
+    The text is split once; the declarations are read first, then each
+    rule in line order, and every fact is checked once, where it is read.
+    A syntax or declaration error raises `SchemeParseError` at its line.
+    The reader establishes the rest of `validate`'s invariants itself; those
+    that are not syntax (the start symbol's type, and each rule's parameter
+    count, parameter types, repeated parameters and body type) are
+    collected in `validate`'s wording and order and raised together as
+    `InvalidScheme` after the last rule, so a syntax error on a later line
+    still wins.  `parse` does not call `validate`.
+    """
     terminals: dict[str, Symbol] = {}
     nonterminals: dict[str, Symbol] = {}
     variables: dict[str, Symbol] = {}
@@ -370,11 +397,10 @@ def parse(text: str) -> Scheme:
         "var": (VARIABLE, variables),
     }
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("//"):
+    for line_no, line in enumerate(_spaced_lines(text), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("//"):
             continue
-        tokens = _tokenize(stripped)
         head = tokens[0]
         if head in tables:
             if len(tokens) < 4 or tokens[2] != ":":
@@ -401,7 +427,7 @@ def parse(text: str) -> Scheme:
                 raise SchemeParseError("duplicate start declaration", line_no)
             start_name, start_line = tokens[1], line_no
         elif head == "rule":
-            rule_lines.append((line_no, tokens[1:]))
+            rule_lines.append((line_no, tokens))
         else:
             raise SchemeParseError(f"unknown declaration {head!r}", line_no)
 
@@ -409,37 +435,68 @@ def parse(text: str) -> Scheme:
         raise SchemeParseError("missing start declaration")
     if start_name not in nonterminals:
         raise SchemeParseError(f"start symbol {start_name} not declared", start_line)
+    start = nonterminals[start_name]
+    diagnostics: list[str] = []
+    # Every parsed ground type is the one GROUND object.
+    if start.type is not GROUND:
+        diagnostics.append(f"start symbol {start_name} is not of ground type")
 
     rules: dict[str, Rule] = {}
     # Terms are immutable, so every occurrence of a symbol shares one leaf.
-    leaves = {name: Term(sym) for name, sym in {**nonterminals, **terminals}.items()}
-    var_leaves = {name: Term(sym) for name, sym in variables.items()}
+    trusted = Term._trusted
+    leaves = {
+        name: trusted(sym, (), sym.type, 1)
+        for name, sym in {**nonterminals, **terminals}.items()
+    }
+    var_leaves = {name: trusted(sym, (), sym.type, 1) for name, sym in variables.items()}
     for line_no, tokens in rule_lines:
-        if "=" not in tokens:
-            raise SchemeParseError("rule is missing =", line_no)
-        eq = tokens.index("=")
-        header, body_tokens = tokens[:eq], tokens[eq + 1 :]
-        if not header:
+        try:
+            eq = tokens.index("=")
+        except ValueError:
+            raise SchemeParseError("rule is missing =", line_no) from None
+        if eq == 1:
             raise SchemeParseError("rule is missing its non-terminal", line_no)
-        fname = header[0]
-        if fname not in nonterminals:
+        fname = tokens[1]
+        lhs = nonterminals.get(fname)
+        if lhs is None:
             raise SchemeParseError(f"rule for undeclared non-terminal {fname}", line_no)
         if fname in rules:
             raise SchemeParseError(f"duplicate rule for {fname}", line_no)
-        lhs = nonterminals[fname]
-        params = {}
-        for pname in header[1:]:
-            if pname not in variables:
+        names = tokens[2:eq]
+        # As in `validate`, a rule with the wrong parameter count gets no
+        # other diagnostic.
+        fits = len(names) == arity(lhs.type)
+        if not fits:
+            diagnostics.append(
+                f"rule {fname}: {len(names)} parameters for arity {arity(lhs.type)}"
+            )
+        remaining = lhs.type
+        params: dict[str, Term] = {}
+        for i, pname in enumerate(names, start=1):
+            leaf = var_leaves.get(pname)
+            if leaf is None:
                 raise SchemeParseError(f"undeclared parameter {pname}", line_no)
-            params[pname] = var_leaves[pname]
-        body = _parse_term(body_tokens, line_no, params, leaves)
-        rules[fname] = Rule(lhs, tuple(variables[p] for p in header[1:]), body)
+            if fits:
+                want = remaining.argument
+                if leaf.type is not want and leaf.type != want:
+                    diagnostics.append(
+                        f"rule {fname}: parameter {i} has type "
+                        f"{type_to_str(leaf.type)}, expected {type_to_str(want)}"
+                    )
+                remaining = remaining.result
+            params[pname] = leaf
+        if fits and len(params) != len(names):
+            diagnostics.append(f"rule {fname}: duplicate parameter names")
+        body = _parse_term(tokens[eq + 1 :], line_no, params, leaves)
+        if fits and body.type is not GROUND:
+            diagnostics.append(
+                f"rule {fname}: body not ground, has type {type_to_str(body.type)}"
+            )
+        rules[fname] = Rule(lhs, tuple([variables[p] for p in names]), body)
 
-    g = Scheme(terminals, nonterminals, variables, rules, nonterminals[start_name])
-    diagnostics = validate(g)
     if diagnostics:
         raise InvalidScheme(diagnostics)
-    return g
+    return Scheme(terminals, nonterminals, variables, rules, start)
 
 
 def render(g: Scheme) -> str:

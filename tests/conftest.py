@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from functools import lru_cache
 from pathlib import Path
 
@@ -44,7 +45,6 @@ from hors.scheme import (
     _RESERVED,
     Rule,
     SchemeParseError,
-    _tokenize,
     _TypeParser,
     fresh_name,
     reachable_nonterminals,
@@ -467,6 +467,14 @@ def reference_prune(g: Scheme) -> Scheme:
     )
 
 
+# `\s` matches exactly the characters for which `str.isspace()` is true.
+_tokenize = re.compile(r"[()]|[^\s()]+").findall
+
+# The line endings that text-mode `open()` translates; other separators
+# that `str.splitlines` honours are whitespace inside a line.
+_split_lines = re.compile(r"\r\n|\r|\n").split
+
+
 def reference_parse_term(tokens, line: int, lookup) -> Term:
     """The recursive descent that `scheme._parse_term` replaced: it rebuilds
     the growing application once per argument and recurses along the
@@ -511,10 +519,11 @@ def reference_parse_term(tokens, line: int, lookup) -> Term:
 
 
 def reference_parse(text: str) -> Scheme:
-    """The reader that `parse` replaced: every declared type parsed on its
-    own, every name looked up through the symbol tables, and rule bodies
-    read by `reference_parse_term`.  `parse` must return an equal scheme or
-    raise the same error."""
+    """The reader that `parse` replaced: lines cut by a regex and tokenized
+    by another, every declared type parsed on its own, every name looked up
+    through the symbol tables, rule bodies read by `reference_parse_term`,
+    and the result checked by `validate` afterwards.  `parse` must return
+    an equal scheme or raise the same error."""
     terminals: dict[str, Symbol] = {}
     nonterminals: dict[str, Symbol] = {}
     variables: dict[str, Symbol] = {}
@@ -523,7 +532,7 @@ def reference_parse(text: str) -> Scheme:
     start_line = 0
     kinds = {"terminal": TERMINAL, "nonterminal": NONTERMINAL, "var": VARIABLE}
     tables = {TERMINAL: terminals, NONTERMINAL: nonterminals, VARIABLE: variables}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_split_lines(text), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("//"):
             continue

@@ -1,5 +1,6 @@
 """Scheme validation, the start-term construction and the textual format."""
 
+import re
 import sys
 
 import pytest
@@ -28,11 +29,14 @@ from hors.core import (
     terminal,
     variable,
 )
-from hors.scheme import _RESERVED, Rule, _tokenize
+import hors.scheme
+from hors.scheme import _RESERVED, Rule, _spaced_lines
 
 from conftest import (
     CORPUS_SEEDS,
     SCHEMES_DIR,
+    _split_lines,
+    _tokenize,
     gen_scheme,
     reference_parse,
     reference_prune,
@@ -233,7 +237,7 @@ def test_reachability_and_pruning(dropper):
 
 
 def _reference_tokenize(text: str) -> list[str]:
-    """The character loop the parser's regex tokenizer replaced."""
+    """A character loop that tokenizes one line."""
     out: list[str] = []
     cur = ""
     for ch in text:
@@ -262,15 +266,66 @@ def test_tokenizer_matches_the_character_loop(separating, dropper):
     spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
     assert {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"} <= set(spaces)
     texts.append("".join(f"F{i}{ch}(x{ch}y){ch}z#{i}'){ch}" for i, ch in enumerate(spaces)))
+    texts.append("x\r\ny(\rz)\n\r\n\f(\x85)\u2028\n")
     for text in texts:
+        want = [_reference_tokenize(line) for line in _split_lines(text)]
+        assert [line.split() for line in _spaced_lines(text)] == want
         for line in [text, *text.splitlines()]:
             assert _tokenize(line) == _reference_tokenize(line)
 
 
+def test_comment_lines_start_with_a_slash_pair():
+    text = (SCHEMES_DIR / "separating.hors").read_text(encoding="utf-8")
+    for line, error in (
+        ("//(x", None),
+        (" // x", None),
+        ("\t//", None),
+        ("(//x", "unknown declaration '('"),
+        ("a//b", "unknown declaration 'a//b'"),
+    ):
+        edited = text.replace("start S\n", f"start S\n{line}\n")
+        assert _outcome(parse, edited) == _outcome(reference_parse, edited)
+        if error is None:
+            assert parse(edited) == parse(text)
+        else:
+            with pytest.raises(SchemeParseError, match=f"^line 10: {re.escape(error)}$"):
+                parse(edited)
+
+
+# Separators that `str.splitlines` honours besides the three line endings.
+_INNER_SEPARATORS = [
+    chr(c) for c in range(sys.maxunicode + 1) if len(f"a{chr(c)}b".splitlines()) == 2
+]
+
+
+def test_only_newline_endings_end_a_line():
+    assert set(_INNER_SEPARATORS) - {"\n", "\r"} == {
+        "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+    }
+    lines = (SCHEMES_DIR / "separating.hors").read_text(encoding="utf-8").split("\n")
+    assert lines[9] == "rule S = F (H a) c"
+    want = parse("\n".join(lines))
+    for ch in set(_INNER_SEPARATORS) - {"\n", "\r"}:
+        lines[9] = f"rule S = F (H a){ch}c"
+        text = "\n".join(lines)
+        assert parse(text) == reference_parse(text) == want
+        # A later error is reported at the line an editor shows.
+        bad = text.replace("rule H x = H (H x)", "rule H x = H (H z)")
+        for read in (parse, reference_parse):
+            with pytest.raises(SchemeParseError) as err:
+                read(bad)
+            assert err.value.line == 12 and str(err.value) == "line 12: undeclared symbol 'z'"
+    for ending in ("\r\n", "\r"):
+        assert parse(ending.join(lines)) == parse("\n".join(lines))
+
+
 def _outcome(read, text):
-    """The scheme `read` returns, or the class and message of what it raises."""
+    """The scheme `read` returns, or the class and message of what it
+    raises, with the whole diagnostics list of an `InvalidScheme`."""
     try:
         return read(text)
+    except InvalidScheme as e:
+        return InvalidScheme, str(e), e.diagnostics
     except Exception as e:
         return type(e), str(e)
 
@@ -289,24 +344,58 @@ def test_parser_matches_the_recursive_oracle_on_the_corpus():
         _assert_reads_like_the_oracle(text)
 
 
+def test_parse_establishes_the_invariants_without_validate(monkeypatch):
+    def refuse(g):
+        raise AssertionError("parse called validate")
+
+    monkeypatch.setattr(hors.scheme, "validate", refuse)
+    read = [parse(text) for text in _SHIPPED_TEXTS + _DRAWN_TEXTS]
+    monkeypatch.undo()
+    for g in read:
+        assert validate(g) == []
+
+
 _MUTATIONS = ("open", "close", "drop_paren", "reserved", "undeclared", "name", "truncate")
+_HEADER_MUTATIONS = (None, "drop", "add", "repeat", "swap")
 _WORDS = sorted(_RESERVED - {"(", ")"})
 
 
 @st.composite
 def _mutated_texts(draw):
-    """A shipped or drawn scheme with one rule body mutated one to three
-    times: stray or missing parentheses, reserved words, undeclared names,
-    declared names where they give excess or wrong-typed arguments, and
-    truncation.  One draw in four also declares a name a second time."""
+    """A shipped or drawn scheme with one rule mutated.  Its header may
+    lose or gain a parameter, or have one renamed, in the body too, to
+    another parameter or to a variable of another type.  Its body is mutated
+    up to three times, at least once when no header mutation was drawn:
+    stray or missing parentheses, reserved words, undeclared names, declared
+    names where they give excess or wrong-typed arguments, and truncation.
+    One draw in four also declares a name a second time, and one in four
+    gives the start symbol an arrow type."""
     lines = draw(st.sampled_from(_SHIPPED_TEXTS + _DRAWN_TEXTS[:20])).splitlines()
     tokenized = [_tokenize(ln) for ln in lines]
     names = sorted({t[1] for t in tokenized if t[:1] in (["terminal"], ["nonterminal"], ["var"])})
+    var_types = {t[1]: t[3:] for t in tokenized if t[:1] == ["var"]}
     i = draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.startswith("rule ")]))
     tokens = _tokenize(lines[i])
     eq = tokens.index("=") + 1
-    body = tokens[eq:]
-    for _ in range(draw(st.integers(1, 3))):
+    params, body = tokens[2 : eq - 1], tokens[eq:]
+    header_kind = draw(st.sampled_from(_HEADER_MUTATIONS))
+    if header_kind == "add":
+        if var_types:
+            params.insert(draw(st.integers(0, len(params))), draw(st.sampled_from(sorted(var_types))))
+    elif header_kind and params:
+        j = draw(st.integers(0, len(params) - 1))
+        if header_kind == "drop":
+            del params[j]
+        else:
+            if header_kind == "repeat":
+                new = params[draw(st.integers(0, len(params) - 1))]
+            else:
+                others = [v for v, ty in var_types.items() if ty != var_types[params[j]]]
+                new = draw(st.sampled_from(sorted(others))) if others else params[j]
+            # The body follows the renamed parameter.
+            body = [new if tok == params[j] else tok for tok in body]
+            params[j] = new
+    for _ in range(draw(st.integers(0 if header_kind else 1, 3))):
         kind = draw(st.sampled_from(_MUTATIONS))
         pos = draw(st.integers(0, len(body)))
         if kind == "open":
@@ -325,10 +414,14 @@ def _mutated_texts(draw):
             body.insert(pos, draw(st.sampled_from(names)))
         else:
             del body[pos:]
-    lines[i] = " ".join(tokens[:eq] + body)
-    redeclared = draw(st.sampled_from([None, "terminal", "nonterminal", "var"]))
-    if redeclared:
+    lines[i] = " ".join(tokens[:2] + params + ["="] + body)
+    if draw(st.integers(0, 3)) == 0:
+        redeclared = draw(st.sampled_from(["terminal", "nonterminal", "var"]))
         lines.insert(draw(st.integers(0, len(lines))), f"{redeclared} {draw(st.sampled_from(names))} : o")
+    if draw(st.integers(0, 3)) == 0:
+        start = next(t[1] for t in tokenized if t[:1] == ["start"])
+        j = next(j for j, ln in enumerate(lines) if _tokenize(ln)[:2] == ["nonterminal", start])
+        lines[j] = f"nonterminal {start} : o -> o"
     return "\n".join(lines) + "\n"
 
 
