@@ -17,6 +17,11 @@ each node a visibility mark, and subtrees that can never reach the
 requested output depth are left unexpanded.  The template sets a new
 node's mark from what compilation fixed and the redex's mark; only
 arguments whose mark changes are walked again.
+
+A value-tree run whose round state (the term and the scheduler's worklist)
+repeats skips whole periods up to the step budget; its tree, `exhausted`
+and `steps_used` are those of running every step.  `derive` runs every
+step, since its trace lists each one.
 """
 
 from __future__ import annotations
@@ -610,6 +615,13 @@ class _Evaluator:
         self.root = _from_term(g, start)
         self.size = start.size
         _mark(self.root, 0 if self.depth >= 1 else _BEYOND, self.depth)
+        # The repeat search of `_sample`: samples taken, the save point's
+        # (size, worklist length), and the first key that matched it with
+        # the step count it was built at.
+        self.samples = 0
+        self.saved: tuple[int, int] | None = None
+        self.key: list | None = None
+        self.key_steps = 0
 
     # -- rewriting ----------------------------------------------------
 
@@ -622,6 +634,67 @@ class _Evaluator:
         if self.size > self.budget.max_term_size:
             self.exhausted = True
 
+    # -- repeated round states ------------------------------------------
+
+    def _sample(self, current: list[_MNode]) -> int:
+        """Look for a round state seen before, at the end of a round whose
+        next worklist is `current`, and return the step count at which to
+        sample again.
+
+        The state of a round is the term and the worklist: the flags and
+        marks follow from the term, and stamps matter only within a round.
+        Samples come about one term size of steps apart, so building a key
+        costs at most about one node per step.  As in Brent's cycle finder
+        (BIT 1980), a save point at each power-of-two sample records only
+        the size and the worklist length; a later sample that agrees on both
+        builds its key, the first one stores it and the later ones compare
+        against it.  A match means the run repeats every P steps from here,
+        so whole periods up to the budget are counted but not run: the steps
+        left, fewer than P, run as usual and stop where running every step
+        would, and the size cap, which the period never reached, stays
+        unreached.  The search then ends.
+        """
+        never = self.budget.max_steps + 1
+        self.samples += 1
+        shape = (self.size, len(current))
+        if self.samples & (self.samples - 1) == 0:
+            self.saved, self.key = shape, None
+        elif shape == self.saved:
+            key = self._state_key(current)
+            if key is not None:
+                if self.key is None:
+                    self.key, self.key_steps = key, self.steps_used
+                elif key == self.key:
+                    period = self.steps_used - self.key_steps
+                    if period:
+                        left = self.budget.max_steps - self.steps_used
+                        self.steps_used += left // period * period
+                    return never
+        return self.steps_used + self.size
+
+    def _state_key(self, current: list[_MNode]) -> list | None:
+        """The round state as one flat list: the symbol and child count of
+        each node in pre-order, then each worklist node's pre-order index.
+        None when some worklist node is no longer in the term."""
+        where = {id(n): -1 for n in current}
+        key: list = []
+        append = key.append
+        stack = [self.root]
+        index = 0
+        while stack:
+            n = stack.pop()
+            if id(n) in where:
+                where[id(n)] = index
+            append(n.sym)
+            append(len(n.kids))
+            stack += n.kids[::-1]
+            index += 1
+        for n in current:
+            if where[id(n)] < 0:
+                return None
+            append(where[id(n)])
+        return key
+
     # -- fair outermost (value tree of unrestricted/OI derivations) ----
 
     def run_outermost(self) -> None:
@@ -630,6 +703,7 @@ class _Evaluator:
         # outermost redexes all lie in this round's contracta: it starts
         # from the rewritten nodes, in the same document order.
         current = [self.root]
+        due = 0  # the step count of the next `_sample`
         while current:
             fired: list[_MNode] = []
             for w in current:
@@ -652,6 +726,8 @@ class _Evaluator:
                             stack.append(k)
                     # non-terminal head, not a redex: frozen forever, skip
             current = fired
+            if self.steps_used >= due:
+                due = self._sample(current)
 
     # -- fair parallel-innermost (IO value tree) ------------------------
 
@@ -668,6 +744,7 @@ class _Evaluator:
         # A redex is innermost when none of its kids is hot.
         current = [self.root]
         round_no = 0
+        due = 0  # the step count of the next `_sample`
         while current:
             round_no += 1
             nxt: list[_MNode] = []
@@ -694,6 +771,8 @@ class _Evaluator:
                 if not w.hot:
                     self._death_walk(w, nxt, round_no)
             current = nxt
+            if self.steps_used >= due:
+                due = self._sample(current)
 
     # -- output ---------------------------------------------------------
 

@@ -39,7 +39,7 @@ from hors.core import (
     type_to_str,
     variable,
 )
-from hors.engine import DerivationTrace, RedexInfo
+from hors.engine import IO, DerivationTrace, RedexInfo, _Evaluator
 from hors.io2oi import AnnotatedSymbol, Labeling, mask_tuples, plus_type
 from hors.scheme import (
     _RESERVED,
@@ -274,6 +274,19 @@ def naive_value_tree(g: Scheme, policy: str, budget: EvalBudget):
     bottom-transform.  Slow but entirely independent of the fast evaluator."""
     trace = derive(g, g.start_term(), policy, budget)
     return truncate(bottom_transform(trace.final), budget.depth), trace.exhausted_budget
+
+
+def plain_value_tree_report(g: Scheme, policy: str, budget: EvalBudget):
+    """The fast evaluator with its repeat search turned off on this instance
+    only, so that it runs every step up to the budget: the tree, whether a
+    budget ran out, the steps used and the evaluator."""
+    ev = _Evaluator(g, g.start_term(), budget)
+    ev._sample = lambda current: budget.max_steps + 1
+    if policy == IO:
+        ev.run_innermost()
+    else:
+        ev.run_outermost()
+    return ev.extract(), ev.exhausted, ev.steps_used, ev
 
 
 def _rule_arities(g: Scheme) -> dict[str, int]:

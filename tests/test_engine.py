@@ -55,10 +55,13 @@ from hors.oi2io import bar_scheme
 from hors.scheme import Rule, Scheme
 
 from conftest import (
+    SCHEMES_DIR,
     _candidates,
     _gen_term,
     gen_scheme,
+    load_scheme,
     naive_value_tree,
+    plain_value_tree_report,
     reference_derive,
     reference_redexes,
 )
@@ -678,6 +681,119 @@ def test_evaluator_flags_match_recomputation(corpus):
             ev = _Evaluator(g, g.start_term(), budget)
             run(ev)
             _assert_flags_fresh(g, ev)
+
+
+def _skipping_report(g, policy, budget):
+    """`value_tree_report`, the evaluator it ran and the number of rewrites
+    it did."""
+    seen, rewrites = [], []  # the evaluator; one entry per rewrite
+    extract = _Evaluator.extract
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("hors.engine._instantiate", lambda *a: rewrites.append(1) or _instantiate(*a))
+        mp.setattr(_Evaluator, "extract", lambda ev: seen.append(ev) or extract(ev))
+        report = value_tree_report(g, policy, budget)
+    return report, seen[0], len(rewrites)
+
+
+def _assert_skip_matches_the_plain_run(g, policy, budget) -> bool:
+    """The run that skips repeated periods ends as the one that runs every
+    step: tree, budget flag, steps and term size.  Whether it skipped."""
+    report, ev, rewrites = _skipping_report(g, policy, budget)
+    tree, exhausted, steps_used, plain = plain_value_tree_report(g, policy, budget)
+    assert (report.tree, report.exhausted, report.steps_used) == (tree, exhausted, steps_used)
+    assert ev.size == plain.size
+    skipped = rewrites < report.steps_used
+    if skipped:
+        _assert_flags_fresh(g, ev)
+    return skipped
+
+
+_SKIP_GRID = [
+    (policy, EvalBudget(steps, 3_000, depth))
+    for policy in ("io", "oi")
+    for steps in (7, 64, 301, 2_999)
+    for depth in (1, 3, 5)
+]
+
+
+def test_skipped_periods_match_the_plain_evaluator(corpus):
+    """Differential: the evaluator that skips whole periods of a repeated
+    round state against the same evaluator run step by step, on the corpus,
+    the shipped schemes and their barred images."""
+    shipped = [load_scheme(p.name) for p in sorted(SCHEMES_DIR.glob("*.hors"))]
+    schemes = list(corpus) + [g for g in shipped if g not in corpus]
+    skipped = 0
+    for g in schemes + [bar_scheme(g) for g in schemes]:
+        for policy, budget in _SKIP_GRID:
+            skipped += _assert_skip_matches_the_plain_run(g, policy, budget)
+    assert skipped >= 50
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=100_000))
+def test_skipped_periods_match_the_plain_evaluator_on_drawn_schemes(seed):
+    g = gen_scheme(seed)
+    for policy, budget in _SKIP_GRID:
+        _assert_skip_matches_the_plain_run(g, policy, budget)
+
+
+_LOOP_HEAD = """
+    terminal a : o -> o
+    terminal b : o -> o -> o
+    terminal c : o
+    terminal d : o
+    nonterminal S : o
+    nonterminal T : o
+    nonterminal F : o -> o
+    nonterminal G : o -> o
+    nonterminal N1 : o -> o -> o
+    var x : o
+    var x1 : o
+    var x2 : o
+    start S
+"""
+
+
+# A closed body that rewrites to itself.  The source grows under IO; its
+# barred image repeats.
+_SELF_REWRITING = "S = N1 (a (a S)) c; N1 x1 x2 = N1 (a (N1 S S)) (b (b c c) (N1 d S))"
+
+
+@pytest.mark.parametrize(
+    "rules, barred, policies, depth, steps",
+    [
+        pytest.param("S = S", False, ("io", "oi"), 3, 10_000, id="self"),
+        pytest.param("S = T; T = S", False, ("io", "oi"), 3, 10_000, id="pair"),
+        pytest.param("S = S", True, ("io", "oi"), 3, 10_000, id="barred-self"),
+        pytest.param(_SELF_REWRITING, True, ("io", "oi"), 3, 10_000, id="barred-closed-body"),
+        pytest.param(_SELF_REWRITING, False, ("oi",), 3, 10_000, id="closed-body"),
+        pytest.param("S = a (F c); F x = F x", False, ("io", "oi"), 3, 10_000, id="under-a"),
+        # the loop lies at the horizon, where nothing is rewritten
+        pytest.param("S = a (F c); F x = F x", False, ("io", "oi"), 1, 10_000, id="at-horizon"),
+        # a cycle entered after rounds that do not repeat
+        pytest.param("S = F c; F x = G (a x); G x = G x", False, ("io", "oi"), 3, 10_000,
+                     id="entered-late"),
+        # two looping redexes per round, and a budget that ends mid-round
+        pytest.param("S = b (F c) (G c); F x = F x; G x = G x", False, ("io", "oi"), 3, 1_001,
+                     id="two-per-round"),
+    ],
+)
+def test_looping_runs_skip_to_the_budget(rules, barred, policies, depth, steps):
+    """The loop shapes the benchmark's stuck schemes meet.  Each run ends as
+    the plain evaluator's does, after far fewer rewrites than steps."""
+    g = parse(_LOOP_HEAD + "".join(f"rule {r.strip()}\n" for r in rules.split(";")))
+    if barred:
+        g = bar_scheme(g)
+    budget = EvalBudget(steps, 2_000, depth)
+    for policy in policies:
+        report, _, done = _skipping_report(g, policy, budget)
+        tree, exhausted, steps_used, _ = plain_value_tree_report(g, policy, budget)
+        assert (report.tree, report.exhausted, report.steps_used) == (tree, exhausted, steps_used)
+        if depth == 1:
+            assert not exhausted and steps_used == done == 1, policy
+        else:
+            assert exhausted and steps_used == steps, policy
+            assert done * 20 < steps, (policy, done)
 
 
 # ---------------------------------------------------------------------------
