@@ -18,10 +18,17 @@ requested output depth are left unexpanded.  The template sets a new
 node's mark from what compilation fixed and the redex's mark; only
 arguments whose mark changes are walked again.
 
-A value-tree run whose round state (the term and the scheduler's worklist)
-repeats skips whole periods up to the step budget; its tree, `exhausted`
-and `steps_used` are those of running every step.  `derive` runs every
-step, since its trace lists each one.
+A value-tree run whose round state repeats skips whole periods up to the
+step budget; its tree, `exhausted`, `steps_used` and term size are those of
+running every step.  The state is keyed by the term and the scheduler's
+worklist, or, while every round is local, by the worklist's own subterms
+alone.  A round is local when each rewrite in it fires an invisible redex
+by a plain rule (one that only moves its arguments) and the rewritten node
+still holds a redex, so it reads nothing outside those subterms.  An IO
+chain that grows under a non-terminal, as in `H x = H (H x)`, then repeats
+while its term grows, and each skipped period adds its growth to the
+counted size without building it.  `derive` runs every step, since its
+trace lists each one.
 """
 
 from __future__ import annotations
@@ -297,10 +304,12 @@ class _Template:
     non-terminal head first met at depth k, None below a parameter head.
     `root` is the body root's operation, run into the redex node, and `ops`
     are the others.  `nsym` counts the new nodes and `unused` lists the
-    parameters that do not occur.
+    parameters that do not occur.  `plain`: the root is no parameter and
+    each parameter occurs once with no extra arguments, so a rewrite only
+    moves its arguments and never reads them.
     """
 
-    __slots__ = ("ops", "root", "nsym", "unused")
+    __slots__ = ("ops", "root", "nsym", "unused", "plain")
 
     def __init__(self, g: Scheme, params: Sequence[Symbol], body: Term):
         index = {p.name: k for k, p in enumerate(params)}
@@ -339,6 +348,9 @@ class _Template:
         *self.ops, self.root = ops
         self.nsym = sum(1 for op in ops if not op[0])
         self.unused = tuple(k for k in range(len(params)) if k not in seen)
+        self.plain = not (self.root[0] or self.unused) and not any(
+            param and (n or copy) for param, _, n, copy, _, _ in self.ops
+        )
 
 
 def _templates(g: Scheme) -> Callable[[str], _Template]:
@@ -615,21 +627,35 @@ class _Evaluator:
         self.root = _from_term(g, start)
         self.size = start.size
         _mark(self.root, 0 if self.depth >= 1 else _BEYOND, self.depth)
-        # The repeat search of `_sample`: samples taken, the save point's
-        # (size, worklist length), and the first key that matched it with
-        # the step count it was built at.
+        # The repeat search of `_sample`.  Over the whole round state:
+        # samples taken, the save point's (size, worklist length), and the
+        # first key that matched it with the step count it was built at.
         self.samples = 0
         self.saved: tuple[int, int] | None = None
         self.key: list | None = None
         self.key_steps = 0
+        # Over the worklist's subterms: whether every round since the last
+        # sample was local, the local samples since the last other one, and
+        # the stored key with the step count and size it was built at.
+        self.local = True
+        self.local_samples = 0
+        self.local_saved: tuple[list, int, int] = ([], 0, 0)
+        # Size counted for skipped periods but never built: the term holds
+        # `size - unbuilt` nodes.
+        self.unbuilt = 0
 
     # -- rewriting ----------------------------------------------------
 
     def _fire(self, node: _MNode) -> None:
-        """Rewrite the redex at `node` in place (one step)."""
-        self.size += _instantiate(self.g, self.template(node.sym.name), node, self.depth)
+        """Rewrite the redex at `node` in place (one step), and clear
+        `local` unless the rewrite reads nothing outside node's subterm."""
+        tpl = self.template(node.sym.name)
+        if self.local and (node.vis != _INVIS or not tpl.plain):
+            self.local = False
+        self.size += _instantiate(self.g, tpl, node, self.depth)
         if not node.hot:
             _cool(node)
+            self.local = False
         self.steps_used += 1
         if self.size > self.budget.max_term_size:
             self.exhausted = True
@@ -641,20 +667,42 @@ class _Evaluator:
         next worklist is `current`, and return the step count at which to
         sample again.
 
-        The state of a round is the term and the worklist: the flags and
-        marks follow from the term, and stamps matter only within a round.
-        Samples come about one term size of steps apart, so building a key
-        costs at most about one node per step.  As in Brent's cycle finder
-        (BIT 1980), a save point at each power-of-two sample records only
-        the size and the worklist length; a later sample that agrees on both
-        builds its key, the first one stores it and the later ones compare
-        against it.  A match means the run repeats every P steps from here,
-        so whole periods up to the budget are counted but not run: the steps
-        left, fewer than P, run as usual and stop where running every step
-        would, and the size cap, which the period never reached, stays
-        unreached.  The search then ends.
+        Two keys describe a state.  When every round since the last sample
+        was local, the key is the worklist's own subterms (`_local_key`).
+        A round is local when each rewrite in it fires an invisible redex
+        by a plain template and leaves the redex hot, and no death walk
+        runs: it reads nothing outside the worklist's subterms, whose cold
+        parts it only moves, and its worklist is its contracta.  So the
+        local key fixes every later round, and those stay local.  Any
+        other sample keys the whole term and worklist (`_state_key`): the
+        flags and marks follow from the term, and stamps matter only
+        within a round.
+
+        As in Brent's cycle finder (BIT 1980), each search keeps a save
+        point at every power-of-two sample.  A local sample stores its key
+        there and the later ones compare against it; the next one is due
+        after about a key's length of steps.  A whole-state save point
+        records only the size and the worklist length; a later sample that
+        agrees on both builds its key, the first one stores it and the
+        later ones compare against it; the next one is due after about a
+        term size of steps.  Either way a key costs about one entry per
+        step taken.  A sample that is not local also restarts the local
+        search.  A match means the run repeats every P steps from here,
+        and `_skip` counts whole periods without running them.  The search
+        then ends.
         """
         never = self.budget.max_steps + 1
+        if self.local:
+            key = self._local_key(current)
+            self.local_samples += 1
+            saved, steps, size = self.local_saved
+            if self.local_samples & (self.local_samples - 1) == 0:
+                self.local_saved = key, self.steps_used, self.size
+            elif key == saved:
+                self._skip(self.steps_used - steps, self.size - size)
+                return never
+            return self.steps_used + len(key)
+        self.local, self.local_samples = True, 0
         self.samples += 1
         shape = (self.size, len(current))
         if self.samples & (self.samples - 1) == 0:
@@ -665,12 +713,44 @@ class _Evaluator:
                 if self.key is None:
                     self.key, self.key_steps = key, self.steps_used
                 elif key == self.key:
-                    period = self.steps_used - self.key_steps
-                    if period:
-                        left = self.budget.max_steps - self.steps_used
-                        self.steps_used += left // period * period
+                    self._skip(self.steps_used - self.key_steps, 0)
                     return never
         return self.steps_used + self.size
+
+    def _skip(self, period: int, growth: int) -> None:
+        """Count k whole periods of `period` steps, each of which grows the
+        term by `growth` nodes that no later step reads, without running
+        them.  k stops at the step budget and, for a growing term, at the
+        size cap: sizes never fall along a period, so the steps left, fewer
+        than one period or up to the cap, run as usual and stop where
+        running every step would.  A period of 0 skips nothing."""
+        if period:
+            k = (self.budget.max_steps - self.steps_used) // period
+            if growth:
+                k = min(k, (self.budget.max_term_size - self.size) // growth)
+            self.steps_used += k * period
+            self.size += k * growth
+            self.unbuilt += k * growth
+
+    def _local_key(self, current: list[_MNode]) -> list:
+        """The worklist's subterms as one flat list: for each worklist node
+        a separator, then the symbol and child count of each hot node in
+        pre-order, with one cold marker (-1, never a child count) for each
+        cold subtree, which is not entered."""
+        key: list = []
+        append = key.append
+        for w in current:
+            append(None)
+            stack = [w]
+            while stack:
+                n = stack.pop()
+                if n.hot:
+                    append(n.sym)
+                    append(len(n.kids))
+                    stack += n.kids[::-1]
+                else:
+                    append(-1)
+        return key
 
     def _state_key(self, current: list[_MNode]) -> list | None:
         """The round state as one flat list: the symbol and child count of
@@ -732,6 +812,7 @@ class _Evaluator:
     # -- fair parallel-innermost (IO value tree) ------------------------
 
     def _death_walk(self, node: _MNode, out: list[_MNode], round_no: int) -> None:
+        self.local = False
         p = node.parent
         while p is not None and not p.redex:
             p = p.parent

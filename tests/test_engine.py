@@ -665,10 +665,12 @@ def _assert_marks_fresh(node, mark, horizon):
 
 
 def _assert_flags_fresh(g, ev):
-    """The evaluator's flags, marks and running term size are current."""
+    """The evaluator's flags, marks and running term size are current: the
+    size counts the nodes built plus the growth that skipped periods
+    counted but did not build."""
     _assert_nodes_fresh(g, ev.root)
     _assert_marks_fresh(ev.root, 0, ev.depth)
-    assert ev.size == _subtree_size(ev.root)
+    assert ev.size == _subtree_size(ev.root) + ev.unbuilt
 
 
 def test_evaluator_flags_match_recomputation(corpus):
@@ -709,9 +711,10 @@ def _assert_skip_matches_the_plain_run(g, policy, budget) -> bool:
 
 
 _SKIP_GRID = [
-    (policy, EvalBudget(steps, 3_000, depth))
+    (policy, EvalBudget(steps, cap, depth))
     for policy in ("io", "oi")
     for steps in (7, 64, 301, 2_999)
+    for cap in (300, 3_000)
     for depth in (1, 3, 5)
 ]
 
@@ -794,6 +797,97 @@ def test_looping_runs_skip_to_the_budget(rules, barred, policies, depth, steps):
         else:
             assert exhausted and steps_used == steps, policy
             assert done * 20 < steps, (policy, done)
+
+
+_GROW_HEAD = """
+    terminal a : o -> o
+    terminal b : o -> o -> o
+    terminal c : o
+    nonterminal S : o
+    nonterminal F : o -> o -> o
+    nonterminal G : o -> o
+    nonterminal H : o -> o
+    nonterminal J : o -> o -> o
+    nonterminal K : (o -> o) -> o
+    nonterminal Q : o -> o
+    var x : o
+    var y : o
+    var f : o -> o
+    start S
+"""
+
+
+def _grow_scheme(rules):
+    if rules == "separating":
+        return load_scheme("separating.hors")
+    return parse(_GROW_HEAD + "".join(f"rule {r.strip()}\n" for r in rules.split(";")))
+
+
+# The `io-eval` chain: IO never lets F fire, since its first argument always
+# holds a redex, and H grows an innermost chain below it.
+_CHAIN = "S = b (F (H c) c) c; F x y = y; H x = H (H (a x))"
+
+
+@pytest.mark.parametrize(
+    "rules, cap",
+    [
+        pytest.param(_CHAIN, 100_000, id="chain"),
+        pytest.param("separating", 100_000, id="separating"),
+        pytest.param("S = b (F (H c) c) c; F x y = y; H x = G (a x); G x = H (H x)", 100_000,
+                     id="two-round-period"),
+        pytest.param("S = b (F (H c) c) (F (G c) c); F x y = y; H x = H (H (a x)); "
+                     "G x = G (b c (G x))", 100_000, id="two-chains"),
+        # 2 nodes a step reach the cap near step 1,000
+        pytest.param(_CHAIN, 2_000, id="cap-ends-it"),
+    ],
+)
+def test_growing_chains_skip_to_the_budget(rules, cap):
+    """Call-by-value chains that grow below a non-terminal IO never fires,
+    by plain rules only: each run ends as the plain evaluator's does, with
+    the size it counts, after far fewer rewrites than steps."""
+    g = _grow_scheme(rules)
+    budget = EvalBudget(10_000, cap, 3)
+    report, ev, done = _skipping_report(g, "io", budget)
+    tree, exhausted, steps_used, plain = plain_value_tree_report(g, "io", budget)
+    assert (report.tree, report.exhausted, report.steps_used) == (tree, exhausted, steps_used)
+    assert ev.size == plain.size and exhausted
+    assert done * 20 < steps_used and ev.unbuilt > 0, (done, steps_used)
+    _assert_flags_fresh(g, ev)
+    if cap < 100_000:
+        assert steps_used < budget.max_steps and ev.size > cap
+    else:
+        assert steps_used == budget.max_steps and ev.size <= cap
+
+
+# 40 pending redexes that death walks fire one by one, each to a value in
+# two steps
+_UNWINDING = "S = b (F (" + "Q (" * 40 + "c" + ")" * 40 + ") c) c; F x y = y; Q x = G x; G x = a x"
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        pytest.param("S = b (F (H c) c) c; F x y = y; H x = H (b x x)", id="copies"),
+        pytest.param("S = b (F (J c c) c) c; F x y = y; J x y = J (J (a x) c) c", id="drops"),
+        pytest.param("S = b (F (K (b c)) c) c; F x y = y; K f = K (b (f c))",
+                     id="completes-a-partial-application"),
+        # a plain chain in view, which stops at the horizon
+        pytest.param("S = H c; H x = a (H x)", id="in-view"),
+        pytest.param(_UNWINDING, id="unwinds"),
+    ],
+)
+def test_nonlocal_growth_runs_every_step(rules):
+    """A rule that copies an argument, drops one or completes a partial
+    application reads what it moves; a redex in view, or one that a death
+    walk finds above the worklist, is read from outside the worklist's
+    subterms.  Such runs take every step."""
+    g = _grow_scheme(rules)
+    for budget in (EvalBudget(10_000, 20_000, 50), EvalBudget(10_000, 300_000, 50)):
+        report, ev, done = _skipping_report(g, "io", budget)
+        tree, exhausted, steps_used, plain = plain_value_tree_report(g, "io", budget)
+        assert (report.tree, report.exhausted, report.steps_used) == (tree, exhausted, steps_used)
+        assert ev.size == plain.size
+        assert done == steps_used and ev.unbuilt == 0
 
 
 # ---------------------------------------------------------------------------
