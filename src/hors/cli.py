@@ -12,6 +12,7 @@ from typing import Callable, Iterator
 from .core import HorsError, PartialTree
 from .engine import (
     EvalBudget,
+    RedexInfo,
     derive,
     value_tree_report,
 )
@@ -31,6 +32,8 @@ SCHEMA_TREE = "hors.tree/1"
 SCHEMA_ANALYSIS = "hors.analysis/1"
 # `analyze` writes an entry in pieces of at most this many atoms.
 _PIECE_ATOMS = 4096
+# `derive --trace` keeps the position texts of this many recent lines.
+_TEXTS_KEPT = 64
 
 _POLICY = {"oi": "oi", "io": "io", "any": "unrestricted"}
 
@@ -141,10 +144,6 @@ def _entry_printer(structured: bool):
     return entry
 
 
-def _position_text(position: tuple[int, ...]) -> str:
-    return ".".join(map(str, position)) if position else "ε"
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -172,18 +171,44 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _position_texts(chosen: list[RedexInfo]) -> Iterator[str]:
+    """The text of each chosen redex's position, "ε" for the root.  Each is
+    put together from the text of the nearest link above it among the last
+    `_TEXTS_KEPT` written, so a redex one level below a recent one costs
+    its new index and one string copy, and the texts held stay few however
+    long the positions grow.  The links stay alive in `chosen`, so their
+    ids key the texts."""
+    written: dict[int, str] = {}  # oldest first
+    for info in chosen:
+        top = info._link
+        parts: list[str] = []
+        while top is not None and id(top) not in written:
+            parts.append(str(top[0]))
+            top = top[1]
+        text = "" if top is None else written[id(top)]
+        if parts:
+            parts.reverse()
+            tail = ".".join(parts)
+            text = f"{text}.{tail}" if text else tail
+        written[id(info._link)] = text
+        if len(written) > _TEXTS_KEPT:
+            del written[next(iter(written))]
+        yield text or "ε"
+
+
 def cmd_derive(args: argparse.Namespace) -> int:
     g = _read_scheme(args.input)
     trace = derive(g, g.start_term(), _POLICY[args.policy], _budget(args))
-    lines: list[str] = []
-    if args.trace:
-        for i, info in enumerate(trace.chosen):
-            lines.append(
-                f"{i} {_position_text(info.position)} {info.nonterminal.name} "
-                f"OI={int(info.is_oi)} IO={int(info.is_io)}"
-            )
-    lines.append(str(trace.final))
-    _write_out("\n".join(lines) + "\n", args.out)
+    final = str(trace.final)
+    # Written line by line, as `analyze` writes its entries.
+    with _output(args.out) as write:
+        if args.trace:
+            for i, (info, position) in enumerate(zip(trace.chosen, _position_texts(trace.chosen))):
+                write(
+                    f"{i} {position} {info.nonterminal.name} "
+                    f"OI={int(info.is_oi)} IO={int(info.is_io)}\n"
+                )
+        write(final + "\n")
     if trace.exhausted_budget:
         print("warning: budget exhausted; derivation is incomplete", file=sys.stderr)
     return 0

@@ -10,7 +10,10 @@ updates the flags above it only as far as they flip.
 
 `derive` takes its redexes from these flags, by one walk that carries each
 redex's position and the chain of redexes above it; each round after the
-first comes from the last round's contracta.  The trace keeps
+first comes from the last round's contracta.  A position is kept as a link
+`(index, parent link)` to the position it extends, the root being None, as
+in Huet's zipper: a redex that sinks one level costs one link, and the
+position tuple is built only when someone reads it.  The trace keeps
 the chosen redexes and the final term only; the intermediate terms are
 rebuilt with `step` when asked for.  The value-tree evaluator also gives
 each node a visibility mark, and subtrees that can never reach the
@@ -34,7 +37,7 @@ trace lists each one.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cache
 from typing import Callable, Optional
 
@@ -71,18 +74,72 @@ class PolicyViolation(HorsError):
     """A chooser picked a redex the active policy forbids."""
 
 
-@dataclass(frozen=True)
+# A position as a link to the one it extends: `(index, parent link)`, with
+# None for the root.  Links are shared, so a redex one level below another
+# costs one link.
+_Link = Optional[tuple]
+
+
 class RedexInfo:
     """A rewritable subterm with its evaluation-policy classification.
 
     `is_oi`: no redex strictly above it; `is_io`: no redex inside any of its
-    arguments.
+    arguments.  Immutable, and compared, hashed and printed by these four
+    fields, as a frozen dataclass would be.  One built by `derive` or
+    `redexes` holds the link of its position instead (`_link`) and builds
+    the tuple on first read.
     """
 
-    position: Position
-    nonterminal: Symbol
-    is_oi: bool
-    is_io: bool
+    __slots__ = ("_link", "_position", "nonterminal", "is_oi", "is_io")
+    __match_args__ = ("position", "nonterminal", "is_oi", "is_io")
+
+    def __init__(self, position: Position, nonterminal: Symbol, is_oi: bool, is_io: bool):
+        _set = object.__setattr__
+        _set(self, "_position", position)
+        _set(self, "nonterminal", nonterminal)
+        _set(self, "is_oi", is_oi)
+        _set(self, "is_io", is_io)
+
+    @property
+    def position(self) -> Position:
+        try:
+            return self._position
+        except AttributeError:  # built from a link: read for the first time
+            parts = []
+            link = self._link
+            while link is not None:
+                parts.append(link[0])
+                link = link[1]
+            parts.reverse()
+            position = tuple(parts)
+            object.__setattr__(self, "_position", position)
+            return position
+
+    def _fields(self) -> tuple:
+        return (self.position, self.nonterminal, self.is_oi, self.is_io)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"RedexInfo(position={self.position!r}, nonterminal={self.nonterminal!r}, "
+            f"is_oi={self.is_oi!r}, is_io={self.is_io!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (RedexInfo, self._fields())
 
     def allowed(self, policy: str) -> bool:
         if policy == OI:
@@ -90,6 +147,17 @@ class RedexInfo:
         if policy == IO:
             return self.is_io
         return True
+
+
+def _linked_info(link: _Link, nonterminal: Symbol, is_oi: bool, is_io: bool) -> RedexInfo:
+    """A RedexInfo at the position of `link`, whose tuple is not built."""
+    info = object.__new__(RedexInfo)
+    _set = object.__setattr__
+    _set(info, "_link", link)
+    _set(info, "nonterminal", nonterminal)
+    _set(info, "is_oi", is_oi)
+    _set(info, "is_io", is_io)
+    return info
 
 
 @dataclass(frozen=True)
@@ -457,7 +525,7 @@ def _from_term(g: Scheme, t: Term) -> _MNode:
 # ---------------------------------------------------------------------------
 # Redexes and derivations.
 
-# The redexes above a node, innermost first: `(node, position length,
+# The redexes above a node, innermost first: `(node, link of its position,
 # chain above it)`, or None when no redex lies above.
 _Chain = Optional[tuple]
 # A redex found by `_eligible`: its node, its RedexInfo and its chain.
@@ -465,35 +533,30 @@ _Found = tuple[_MNode, RedexInfo, _Chain]
 
 
 def _eligible(
-    top: _MNode, policy: str, base: Position = (), above: _Chain = None
+    top: _MNode, policy: str, base: _Link = None, above: _Chain = None
 ) -> list[_Found]:
     """The redexes at or below `top` the policy allows, in document order:
     under `oi` each redex met stops the walk, under `io` only redexes with
-    no hot kid count.  `top` sits at position `base` below the chain
-    `above`.  Only hot nodes are entered, and positions are put together
-    only for the redexes returned: the walk carries the path as a linked
-    list and the chain as it goes."""
+    no hot kid count.  `top` sits at the position linked by `base`, below
+    the chain `above`.  Only hot nodes are entered.  The walk extends
+    `base` by one link per level it descends, and each redex returned holds
+    the link of its position, so positions share their common prefixes and
+    no tuple is built."""
     out: list[_Found] = []
-    stack = [(top, None, len(base), above)] if top.hot else []
+    stack = [(top, base, above)] if top.hot else []
     while stack:
-        n, path, depth, chain = stack.pop()
+        n, link, chain = stack.pop()
         kids = n.kids
         if n.redex:
             io = not any(k.hot for k in kids)
             if io or policy != IO:
-                parts, link = [], path
-                while link is not None:
-                    parts.append(link[0])
-                    link = link[1]
-                parts.reverse()
-                out.append((n, RedexInfo(base + tuple(parts), n.sym, chain is None, io), chain))
+                out.append((n, _linked_info(link, n.sym, chain is None, io), chain))
             if policy == OI:
                 continue
-            chain = (n, depth, chain)
-        depth += 1
+            chain = (n, link, chain)
         for i in range(len(kids), 0, -1):
             if kids[i - 1].hot:
-                stack.append((kids[i - 1], (i, path), depth, chain))
+                stack.append((kids[i - 1], (i, link), chain))
     return out
 
 
@@ -603,12 +666,11 @@ def derive(
             _cool(node)
         chosen.append(info)
         if following is not None:
-            pos = info.position
             if node.hot:
-                following += _eligible(node, sweep, pos, chain)
+                following += _eligible(node, sweep, info._link, chain)
             elif chain is not None and not any(k.hot for k in chain[0].kids):
-                up, length, rest = chain
-                following.append((up, RedexInfo(pos[:length], up.sym, rest is None, True), rest))
+                up, link, rest = chain
+                following.append((up, _linked_info(link, up.sym, rest is None, True), rest))
     return DerivationTrace(g, t0, chosen, _to_term(top), exhausted)
 
 

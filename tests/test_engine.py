@@ -1,7 +1,10 @@
 """Redex classification, derivations and value-tree prefixes."""
 
+import pickle
 import random
 import sys
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -894,9 +897,21 @@ def test_nonlocal_growth_runs_every_step(rules):
 # the in-place derivation
 
 
+# A start symbol without a rule: its derivations take no step.
+_RULELESS_START = """
+terminal c : o
+nonterminal S : o
+nonterminal F : o -> o
+var x : o
+start S
+rule F x = c
+"""
+
+
 def test_final_term_equals_the_replayed_last_term(corpus):
     budget = EvalBudget(150, 20_000, 3)
-    for g in corpus:
+    stepless = 0
+    for g in corpus + [parse(_RULELESS_START)]:
         for policy in POLICIES:
             rng = random.Random(3)
             for chooser in (None, lambda t, els: rng.choice(els)):
@@ -907,7 +922,48 @@ def test_final_term_equals_the_replayed_last_term(corpus):
                 if trace.steps:
                     assert trace.final == trace.steps[-1][2] == trace.terms[-1]
                 else:
-                    assert trace.final == trace.start and trace.terms == []
+                    assert trace.final == trace.start and trace.terms == [trace.start]
+                    stepless += 1
+    assert stepless == 2 * len(POLICIES)
+
+
+def test_engine_and_hand_built_redex_infos_are_alike(separating):
+    """A RedexInfo that `derive` built from a position link is one that a
+    caller builds from the tuple: equal, of equal hash and repr, and
+    immutable."""
+    trace = derive(separating, separating.start_term(), "io", EvalBudget(5, 100_000))
+    f, h = separating.symbol("F"), separating.symbol("H")
+    by_hand = [RedexInfo((), separating.start, True, True)]
+    by_hand += [RedexInfo((1,) * i, h, False, True) for i in range(1, 5)]
+    for info, other in zip(trace.chosen, by_hand, strict=True):
+        assert not hasattr(info, "_position")  # built on the first read below
+        assert hash(info) == hash(other) and info == other and repr(info) == repr(other)
+        assert info.position == other.position and info.position is info.position
+        assert pickle.loads(pickle.dumps(info)) == info
+        for name in ("position", "nonterminal", "is_oi", "is_io"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(info, name, None)
+            with pytest.raises(FrozenInstanceError):
+                setattr(other, name, None)
+    assert by_hand[1] != RedexInfo((1,), h, False, False) != RedexInfo((1,), f, False, True)
+    assert by_hand[1] != ((1,), h, False, True)
+    assert repr(trace.chosen[1]) == (
+        f"RedexInfo(position=(1,), nonterminal={h!r}, is_oi=False, is_io=True)"
+    )
+
+
+def test_io_derive_memory_is_linear(separating):
+    """A redex that sinks one level per step costs one position link, not a
+    tuple as long as its depth: 6,400 steps peak far below the 160 MiB that
+    a full tuple per step takes."""
+    tracemalloc.start()
+    try:
+        trace = derive(separating, separating.start_term(), "io", EvalBudget(6_400, 100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.exhausted_budget and len(trace.chosen) == 6_400
+    assert peak < 16 * 2**20, peak
 
 
 def test_default_derivation_neither_rebuilds_spines_nor_replays(separating, order3, monkeypatch):
@@ -1068,6 +1124,15 @@ def _assert_static_hot(g, rule, tpl):
             assert hot == has_redex and (hot or not has_param), (rule, t)
 
 
+def _link_position(link) -> tuple:
+    """The position tuple of a position link `(index, parent link)`."""
+    parts = []
+    while link is not None:
+        i, link = link
+        parts.append(i)
+    return tuple(reversed(parts))
+
+
 def test_template_matches_instantiate_flags_and_size(corpus):
     rng = random.Random(5)
     checked = 0
@@ -1095,14 +1160,14 @@ def test_template_matches_instantiate_flags_and_size(corpus):
                     at, above = node, []  # the redexes strictly above r
                     for depth, i in enumerate(info.position):
                         if at.redex:
-                            above.insert(0, (at, depth))
+                            above.insert(0, (at, info.position[:depth]))
                         at = at.kids[i - 1]
                     assert r is at, (rule, info)
-                    links = []
+                    entries = []
                     while chain is not None:
-                        up, length, chain = chain
-                        links.append((up, length))
-                    assert links == above, (rule, info)
+                        up, link, chain = chain
+                        entries.append((up, _link_position(link)))
+                    assert entries == above, (rule, info)
                 checked += 1
     assert checked > 1_000
 
