@@ -23,15 +23,15 @@ arguments whose mark changes are walked again.
 
 A value-tree run whose round state repeats skips whole periods up to the
 step budget; its tree, `exhausted`, `steps_used` and term size are those of
-running every step.  The state is keyed by the term and the scheduler's
-worklist, or, while every round is local, by the worklist's own subterms
-alone.  A round is local when each rewrite in it fires an invisible redex
-by a plain rule (one that only moves its arguments) and the rewritten node
-still holds a redex, so it reads nothing outside those subterms.  An IO
-chain that grows under a non-terminal, as in `H x = H (H x)`, then repeats
-while its term grows, and each skipped period adds its growth to the
-counted size without building it.  `derive` runs every step, since its
-trace lists each one.
+running every step.  One rule runs two repeat searches, each with its own
+key: the worklist's own subterms while every round is local, else the term
+and the scheduler's worklist.  A round is local when each rewrite in it
+fires an invisible redex by a plain rule (one that only moves its
+arguments) and the rewritten node still holds a redex, so it reads nothing
+outside those subterms.  An IO chain that grows under a non-terminal, as in
+`H x = H (H x)`, then repeats while its term grows, and each skipped period
+adds its growth to the counted size without building it.  `derive` runs
+every step, since its trace lists each one.
 """
 
 from __future__ import annotations
@@ -140,13 +140,6 @@ class RedexInfo:
 
     def __reduce__(self):
         return (RedexInfo, self._fields())
-
-    def allowed(self, policy: str) -> bool:
-        if policy == OI:
-            return self.is_oi
-        if policy == IO:
-            return self.is_io
-        return True
 
 
 def _linked_info(link: _Link, nonterminal: Symbol, is_oi: bool, is_io: bool) -> RedexInfo:
@@ -341,14 +334,18 @@ def _subtree_size(node: _MNode) -> int:
 
 def _to_term(node: _MNode) -> Term:
     """The immutable term of a mutable one, built bottom-up with an
-    explicit stack."""
+    explicit stack.  Rewriting kept the term well-typed, so each node is
+    built unchecked: its type is its symbol's after its arguments."""
     done: list[Term] = []  # built terms, children before parents
     stack: list[tuple[_MNode, bool]] = [(node, False)]
     while stack:
         n, expanded = stack.pop()
         if expanded:
             cut = len(done) - len(n.kids)
-            done[cut:] = [Term(n.sym, done[cut:])]
+            args, type, size = tuple(done[cut:]), n.sym.type, 1
+            for a in args:
+                type, size = type.result, size + a.size
+            done[cut:] = [Term._trusted(n.sym, args, type, size)]
             continue
         stack.append((n, True))
         for k in reversed(n.kids):
@@ -689,28 +686,26 @@ class _Evaluator:
         self.root = _from_term(g, start)
         self.size = start.size
         _mark(self.root, 0 if self.depth >= 1 else _BEYOND, self.depth)
-        # The repeat search of `_sample`.  Over the whole round state:
-        # samples taken, the save point's (size, worklist length), and the
-        # first key that matched it with the step count it was built at.
-        self.samples = 0
-        self.saved: tuple[int, int] | None = None
-        self.key: list | None = None
-        self.key_steps = 0
-        # Over the worklist's subterms: whether every round since the last
-        # sample was local, the local samples since the last other one, and
-        # the stored key with the step count and size it was built at.
+        # `_sample`'s repeat searches, indexed by `local`: [samples taken,
+        # the save point's (size, worklist length), the first key built
+        # after it, that key's step count and size].  `local`: every round
+        # since the last sample was local.
         self.local = True
-        self.local_samples = 0
-        self.local_saved: tuple[list, int, int] = ([], 0, 0)
+        self.searches = [[0, None, None, 0, 0], [0, None, None, 0, 0]]
         # Size counted for skipped periods but never built: the term holds
         # `size - unbuilt` nodes.
         self.unbuilt = 0
 
     # -- rewriting ----------------------------------------------------
 
-    def _fire(self, node: _MNode) -> None:
+    def _fire(self, node: _MNode) -> bool:
         """Rewrite the redex at `node` in place (one step), and clear
-        `local` unless the rewrite reads nothing outside node's subterm."""
+        `local` unless the rewrite reads nothing outside node's subterm.
+        False, with `exhausted` set, when the step budget is already spent
+        (nothing is rewritten) or the rewrite passes the size cap."""
+        if self.steps_used >= self.budget.max_steps:
+            self.exhausted = True
+            return False
         tpl = self.template(node.sym.name)
         if self.local and (node.vis != _INVIS or not tpl.plain):
             self.local = False
@@ -719,8 +714,8 @@ class _Evaluator:
             _cool(node)
             self.local = False
         self.steps_used += 1
-        if self.size > self.budget.max_term_size:
-            self.exhausted = True
+        self.exhausted = self.size > self.budget.max_term_size
+        return not self.exhausted
 
     # -- repeated round states ------------------------------------------
 
@@ -729,55 +724,46 @@ class _Evaluator:
         next worklist is `current`, and return the step count at which to
         sample again.
 
-        Two keys describe a state.  When every round since the last sample
+        Two keys describe a state.  While every round since the last sample
         was local, the key is the worklist's own subterms (`_local_key`).
         A round is local when each rewrite in it fires an invisible redex
         by a plain template and leaves the redex hot, and no death walk
         runs: it reads nothing outside the worklist's subterms, whose cold
-        parts it only moves, and its worklist is its contracta.  So the
-        local key fixes every later round, and those stay local.  Any
-        other sample keys the whole term and worklist (`_state_key`): the
-        flags and marks follow from the term, and stamps matter only
-        within a round.
+        parts it only moves, and its worklist is its contracta.  So that
+        key fixes every later round, and those stay local.  Any other
+        sample keys the whole term and worklist (`_state_key`) and
+        restarts the local search.
 
-        As in Brent's cycle finder (BIT 1980), each search keeps a save
-        point at every power-of-two sample.  A local sample stores its key
-        there and the later ones compare against it; the next one is due
-        after about a key's length of steps.  A whole-state save point
-        records only the size and the worklist length; a later sample that
-        agrees on both builds its key, the first one stores it and the
-        later ones compare against it; the next one is due after about a
-        term size of steps.  Either way a key costs about one entry per
-        step taken.  A sample that is not local also restarts the local
-        search.  A match means the run repeats every P steps from here,
-        and `_skip` counts whole periods without running them.  The search
-        then ends.
+        One rule runs both searches, as in Brent's cycle finder (BIT 1980).
+        A power-of-two sample is a save point: it records the size and the
+        worklist length and forgets the stored key.  A local key is built
+        at every sample, a whole-state key only where the size and length
+        equal the save point's, but not at it.  The first key built is
+        stored, and a later one equal to it means the run repeats every P
+        steps from here: `_skip` counts whole periods without running them,
+        and the search ends.  Samples are about a local key's length or a
+        term size of steps apart, so keys cost about one entry per step.
         """
-        never = self.budget.max_steps + 1
-        if self.local:
-            key = self._local_key(current)
-            self.local_samples += 1
-            saved, steps, size = self.local_saved
-            if self.local_samples & (self.local_samples - 1) == 0:
-                self.local_saved = key, self.steps_used, self.size
-            elif key == saved:
-                self._skip(self.steps_used - steps, self.size - size)
-                return never
-            return self.steps_used + len(key)
-        self.local, self.local_samples = True, 0
-        self.samples += 1
+        local = self.local
+        if not local:
+            self.local, self.searches[True][0] = True, 0
+        search = self.searches[local]
+        search[0] += 1
         shape = (self.size, len(current))
-        if self.samples & (self.samples - 1) == 0:
-            self.saved, self.key = shape, None
-        elif shape == self.saved:
-            key = self._state_key(current)
-            if key is not None:
-                if self.key is None:
-                    self.key, self.key_steps = key, self.steps_used
-                elif key == self.key:
-                    self._skip(self.steps_used - self.key_steps, 0)
-                    return never
-        return self.steps_used + self.size
+        save = search[0] & (search[0] - 1) == 0
+        if save:
+            search[1:3] = shape, None
+        if local:
+            key = self._local_key(current)
+        else:
+            key = None if save or shape != search[1] else self._state_key(current)
+        if key is not None:
+            if search[2] is None:
+                search[2:] = key, self.steps_used, self.size
+            elif key == search[2]:
+                self._skip(self.steps_used - search[3], self.size - search[4])
+                return self.budget.max_steps + 1
+        return self.steps_used + (len(key) if local else self.size)
 
     def _skip(self, period: int, growth: int) -> None:
         """Count k whole periods of `period` steps, each of which grows the
@@ -817,7 +803,9 @@ class _Evaluator:
     def _state_key(self, current: list[_MNode]) -> list | None:
         """The round state as one flat list: the symbol and child count of
         each node in pre-order, then each worklist node's pre-order index.
-        None when some worklist node is no longer in the term."""
+        The flags and marks follow from the term, and stamps matter only
+        within a round.  None when some worklist node is no longer in the
+        term."""
         where = {id(n): -1 for n in current}
         key: list = []
         append = key.append
@@ -855,13 +843,9 @@ class _Evaluator:
                     if n.vis == _BEYOND:
                         continue
                     if n.redex:
-                        if self.steps_used >= self.budget.max_steps:
-                            self.exhausted = True
+                        if not self._fire(n):
                             return
-                        self._fire(n)
                         fired.append(n)
-                        if self.exhausted:
-                            return
                         continue
                     if n.sym.kind == TERMINAL:
                         for k in reversed(n.kids):
@@ -899,11 +883,7 @@ class _Evaluator:
                         if not n.hot or n.vis == _BEYOND:
                             continue
                         if n.redex and not any(k.hot for k in n.kids):
-                            if self.steps_used >= self.budget.max_steps:
-                                self.exhausted = True
-                                return
-                            self._fire(n)
-                            if self.exhausted:
+                            if not self._fire(n):
                                 return
                             if n.stamp != round_no:
                                 n.stamp = round_no

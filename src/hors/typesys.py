@@ -206,7 +206,6 @@ def conj(*atoms: Atom) -> Conj:
     return Conj(atoms)
 
 
-EMPTY = Conj()
 CONJ_INF = conj(Q_INF)
 ARROW_INF = ArrowMap(CONJ_INF, Q_INF)  # the always-true arrow atom
 
@@ -823,7 +822,7 @@ class Analysis:
     Not safe to share across threads: the memo tables are unsynchronized.
     """
 
-    def __init__(self, g: Scheme, max_iterations: int | None = None):
+    def __init__(self, g: Scheme):
         self.scheme = g
         _require_rules(g)
         bound = 0
@@ -835,7 +834,7 @@ class Analysis:
                     f"an entry of more than {MAX_ENTRY_ATOMS} atoms is not feasible"
                 )
             bound += n
-        limit = max_iterations if max_iterations is not None else bound + 1
+        limit = bound + 1
         masks = {name: layout(f.type).full for name, f in g.nonterminals.items()}
         self._compiler = _Compiler()
         rules = [_RuleProgram(g, name, self._compiler) for name in g.nonterminals]

@@ -868,29 +868,39 @@ _UNWINDING = "S = b (F (" + "Q (" * 40 + "c" + ")" * 40 + ") c) c; F x y = y; Q 
 
 
 @pytest.mark.parametrize(
-    "rules",
+    "rules, grows",
     [
-        pytest.param("S = b (F (H c) c) c; F x y = y; H x = H (b x x)", id="copies"),
-        pytest.param("S = b (F (J c c) c) c; F x y = y; J x y = J (J (a x) c) c", id="drops"),
-        pytest.param("S = b (F (K (b c)) c) c; F x y = y; K f = K (b (f c))",
+        pytest.param("S = b (F (H c) c) c; F x y = y; H x = H (b x x)", False, id="copies"),
+        pytest.param("S = b (F (J c c) c) c; F x y = y; J x y = J (J (a x) c) c", True,
+                     id="drops"),
+        pytest.param("S = b (F (K (b c)) c) c; F x y = y; K f = K (b (f c))", True,
                      id="completes-a-partial-application"),
         # a plain chain in view, which stops at the horizon
-        pytest.param("S = H c; H x = a (H x)", id="in-view"),
-        pytest.param(_UNWINDING, id="unwinds"),
+        pytest.param("S = H c; H x = a (H x)", False, id="in-view"),
+        pytest.param(_UNWINDING, False, id="unwinds"),
     ],
 )
-def test_nonlocal_growth_runs_every_step(rules):
+def test_nonlocal_growth_runs_every_step(rules, grows):
     """A rule that copies an argument, drops one or completes a partial
     application reads what it moves; a redex in view, or one that a death
     walk finds above the worklist, is read from outside the worklist's
-    subterms.  Such runs take every step."""
+    subterms.  Such runs take every step.  Where the term grows between
+    samples, no sample matches its save point's size, so no whole-state key
+    is built."""
     g = _grow_scheme(rules)
+    state_keys = []
+    state_key = _Evaluator._state_key
     for budget in (EvalBudget(10_000, 20_000, 50), EvalBudget(10_000, 300_000, 50)):
-        report, ev, done = _skipping_report(g, "io", budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Evaluator, "_state_key",
+                       lambda ev, current: state_keys.append(1) or state_key(ev, current))
+            report, ev, done = _skipping_report(g, "io", budget)
         tree, exhausted, steps_used, plain = plain_value_tree_report(g, "io", budget)
         assert (report.tree, report.exhausted, report.steps_used) == (tree, exhausted, steps_used)
         assert ev.size == plain.size
         assert done == steps_used and ev.unbuilt == 0
+        if grows:
+            assert not state_keys, budget
 
 
 # ---------------------------------------------------------------------------
